@@ -18,6 +18,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+pub use dws_core::policy::{eq1_wake_target, plan_wakes};
+
 use crate::explorer::{Env, PostCheck};
 use crate::oracle::{replay_core_time, Oracle, ProtoEvent};
 use crate::sync::{
@@ -314,30 +316,6 @@ impl ModelConfig {
     /// at start (contiguous blocks, as in the runtime).
     pub fn home(&self) -> Vec<usize> {
         (0..self.cores).map(|c| c * self.programs / self.cores).collect()
-    }
-}
-
-/// Eq. 1 wake target `N_w = N_b / N_a`; with no active worker, every
-/// queued task wants a worker.
-#[allow(clippy::manual_checked_ops)] // the zero case returns n_b, not None
-pub fn eq1_wake_target(n_b: usize, n_a: usize) -> usize {
-    if n_a == 0 {
-        n_b
-    } else {
-        n_b / n_a
-    }
-}
-
-/// Eq. 1's three-case split of a wake target into `(take_free,
-/// reclaim)`: free cores first (`N_w ≤ N_f`), then reclaims of own home
-/// cores (`N_f < N_w ≤ N_f + N_r`), capped at what exists.
-pub fn plan_wakes(n_w: usize, n_f: usize, n_r: usize) -> (usize, usize) {
-    if n_w <= n_f {
-        (n_w, 0)
-    } else if n_w <= n_f + n_r {
-        (n_f, n_w - n_f)
-    } else {
-        (n_f, n_r)
     }
 }
 
@@ -1076,11 +1054,11 @@ fn coordinator_loop(sh: &Shared, prog: usize) {
         }
         let free = sh.table.free_cores();
         let reclaimable = sh.table.reclaimable_cores(prog);
-        let (take_free, take_reclaim) = plan_wakes(n_w, free.len(), reclaimable.len());
+        let plan = plan_wakes(n_w, free.len(), reclaimable.len());
         preempt_point("coord-apply");
         let mut gained = 0usize;
         for &c in &free {
-            if gained >= take_free {
+            if gained >= plan.from_free {
                 break;
             }
             if sh.table.try_acquire_free(prog, c) {
@@ -1089,7 +1067,7 @@ fn coordinator_loop(sh: &Shared, prog: usize) {
         }
         let mut reclaimed = 0usize;
         for &c in &reclaimable {
-            if reclaimed >= take_reclaim {
+            if reclaimed >= plan.from_reclaim {
                 break;
             }
             preempt_point("coord-reclaim");
@@ -1447,20 +1425,6 @@ pub fn spawn_model(env: &Env, cfg: &ModelConfig, _seed: u64) -> impl FnOnce(bool
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn eq1_three_regimes() {
-        assert_eq!(eq1_wake_target(6, 0), 6);
-        assert_eq!(eq1_wake_target(6, 2), 3);
-        assert_eq!(eq1_wake_target(1, 4), 0);
-    }
-
-    #[test]
-    fn plan_wakes_cases() {
-        assert_eq!(plan_wakes(2, 3, 5), (2, 0)); // N_w ≤ N_f
-        assert_eq!(plan_wakes(4, 3, 5), (3, 1)); // N_f < N_w ≤ N_f + N_r
-        assert_eq!(plan_wakes(10, 3, 5), (3, 5)); // N_w > N_f + N_r
-    }
 
     #[test]
     fn home_map_is_equipartition() {

@@ -29,9 +29,9 @@
 //!   whose sequence never ages — exactly what the head sees once every
 //!   earlier request drains, which in a plain Vyukov ring wedges the
 //!   consumer forever. The consumer detects the signature (sequence still
-//!   at the claim value while `tail` has moved past it) and, after
-//!   [`ABANDON_AFTER_POLLS`] consecutive empty polls stuck on the same
-//!   position, *abandons* the reservation: the slot's sequence is CAS'd
+//!   at the claim value while `tail` has moved past it) and, once the
+//!   same position has stayed stuck for [`ABANDON_AFTER`] of monotonic
+//!   time, *abandons* the reservation: the slot's sequence is CAS'd
 //!   to a tombstone both sides skip from then on, the head moves past it,
 //!   and the loss is counted in [`SubmitRing::abandoned`]. The tombstone
 //!   is permanent (the ring gives up one slot per abandonment) because
@@ -46,19 +46,35 @@
 //! region carved out of the `ShmTable` mapping (cross-process serving).
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 
 /// Epoch value that refuses every submission (used while a ring is being
 /// reset between lease generations, and as the initial state of a ring
 /// whose owner has not registered yet).
 pub const EPOCH_FENCED: u64 = u64::MAX;
 
-/// Consecutive empty polls the consumer tolerates while the head is stuck
-/// on the same claimed-but-unpublished slot before abandoning the
-/// reservation. With the runtime draining once per coordinator period
-/// (10 ms) a wedged ring self-heals in well under a second; a live client
-/// merely slow between claim and publish for that long loses the race
-/// with a typed [`SubmitError::Abandoned`] rather than a corrupted slot.
-pub const ABANDON_AFTER_POLLS: u64 = 8;
+/// How long the head may stay stuck on the same claimed-but-unpublished
+/// slot before the consumer abandons the reservation. Measured in
+/// monotonic time from the first stalled poll, never in polls: a spinning
+/// drainer polls millions of times a second, and a live producer merely
+/// preempted between claim and publish must not be declared dead for it.
+/// Deliberately no shorter than the runtime's lease-timeout floor (30 ms,
+/// asserted in `dws-rt`) — the ring is never quicker to presume a client
+/// dead than the lease machinery is — and several scheduler quanta above
+/// it; a wedged ring still self-heals in well under a second. A client
+/// that does stall this long loses the race with a typed
+/// [`SubmitError::Abandoned`] rather than a corrupted slot.
+pub const ABANDON_AFTER: Duration = Duration::from_millis(100);
+
+/// The consumer's stall clock: monotonic nanoseconds since this process
+/// first asked. Local to the consuming process — the stamp it leaves in
+/// the header is only ever compared against the same clock (a successor
+/// owner starts from [`SubmitRing::reset`], which zeroes it).
+fn stall_clock_ns() -> u64 {
+    static ANCHOR: OnceLock<Instant> = OnceLock::new();
+    ANCHOR.get_or_init(Instant::now).elapsed().as_nanos() as u64
+}
 
 /// Tombstone sequence for a slot whose reservation was abandoned. Larger
 /// than any reachable position (positions are monotone claim counts), so
@@ -123,8 +139,9 @@ struct Header {
     /// head is currently stuck behind (0 = none). Occupies what used to be
     /// header padding, so pre-existing zeroed regions stay compatible.
     stall_pos: AtomicU64,
-    /// Consecutive empty polls spent stuck on `stall_pos`.
-    stall_polls: AtomicU64,
+    /// [`stall_clock_ns`] reading of the first poll that found the head
+    /// stuck on `stall_pos` (the word that used to count stalled polls).
+    stall_since: AtomicU64,
 }
 
 /// One slot: a Vyukov sequence word plus the fixed-size request payload.
@@ -247,7 +264,7 @@ impl SubmitRing {
         h.tail.store(0, Ordering::SeqCst);
         h.head.store(0, Ordering::SeqCst);
         h.stall_pos.store(0, Ordering::SeqCst);
-        h.stall_polls.store(0, Ordering::SeqCst);
+        h.stall_since.store(0, Ordering::SeqCst);
         // Tombstoned slots are revived: a new generation starts with the
         // full capacity (the dead claimant's epoch is fenced out above).
         for i in 0..self.capacity {
@@ -430,9 +447,9 @@ impl SubmitRing {
     ///
     /// Never blocks on a producer mid-publish: an unpublished head slot
     /// reads as empty. If the *same* claimed-but-unpublished slot stays
-    /// stuck at the head for [`ABANDON_AFTER_POLLS`] consecutive empty
-    /// polls, the claimant is presumed dead (killed between reserve and
-    /// publish) and the reservation is abandoned — the slot is
+    /// stuck at the head for [`ABANDON_AFTER`], the claimant is presumed
+    /// dead (killed between reserve and publish) and the reservation is
+    /// abandoned — the slot is
     /// tombstoned, counted in [`SubmitRing::abandoned`], and the head
     /// moves on, un-wedging the ring.
     pub fn pop(&self) -> Option<Request> {
@@ -459,7 +476,6 @@ impl SubmitRing {
                         slot.seq.store(pos + cap, Ordering::Release);
                         if h.stall_pos.load(Ordering::Relaxed) != 0 {
                             h.stall_pos.store(0, Ordering::Relaxed);
-                            h.stall_polls.store(0, Ordering::Relaxed);
                         }
                         return Some(req);
                     }
@@ -485,45 +501,46 @@ impl SubmitRing {
                 // over a claim) yet its sequence never aged. Tolerate it
                 // for a patience window, then tombstone the slot.
                 if seq == pos && h.tail.load(Ordering::Acquire) > pos {
-                    if h.stall_pos.load(Ordering::Relaxed) == pos + 1 {
-                        let polls = h.stall_polls.fetch_add(1, Ordering::Relaxed) + 1;
-                        if polls >= ABANDON_AFTER_POLLS {
-                            h.stall_pos.store(0, Ordering::Relaxed);
-                            h.stall_polls.store(0, Ordering::Relaxed);
-                            if slot
-                                .seq
-                                .compare_exchange(
-                                    pos,
-                                    SEQ_ABANDONED,
-                                    Ordering::AcqRel,
-                                    Ordering::Relaxed,
-                                )
-                                .is_ok()
-                            {
-                                // We won against any late publish: the
-                                // claimant's request is lost for good.
-                                h.abandoned.fetch_add(1, Ordering::Relaxed);
-                                let _ = h.head.compare_exchange(
-                                    pos,
-                                    pos + 1,
-                                    Ordering::Relaxed,
-                                    Ordering::Relaxed,
-                                );
-                            }
-                            // Either way the slot is now decided
-                            // (tombstone or published); re-examine it.
-                            pos = h.head.load(Ordering::Relaxed);
-                            continue;
-                        }
-                    } else {
+                    // Stamp read before the clock, so `now` is never
+                    // behind it even with a second drainer racing us.
+                    let since = h.stall_since.load(Ordering::Relaxed);
+                    let now = stall_clock_ns();
+                    if h.stall_pos.load(Ordering::Relaxed) != pos + 1 {
+                        // First stalled poll at this position: open the
+                        // patience window.
                         h.stall_pos.store(pos + 1, Ordering::Relaxed);
-                        h.stall_polls.store(1, Ordering::Relaxed);
+                        h.stall_since.store(now, Ordering::Relaxed);
+                    } else if now.saturating_sub(since) >= ABANDON_AFTER.as_nanos() as u64 {
+                        h.stall_pos.store(0, Ordering::Relaxed);
+                        if slot
+                            .seq
+                            .compare_exchange(
+                                pos,
+                                SEQ_ABANDONED,
+                                Ordering::AcqRel,
+                                Ordering::Relaxed,
+                            )
+                            .is_ok()
+                        {
+                            // We won against any late publish: the
+                            // claimant's request is lost for good.
+                            h.abandoned.fetch_add(1, Ordering::Relaxed);
+                            let _ = h.head.compare_exchange(
+                                pos,
+                                pos + 1,
+                                Ordering::Relaxed,
+                                Ordering::Relaxed,
+                            );
+                        }
+                        // Either way the slot is now decided (tombstone
+                        // or published); re-examine it.
+                        pos = h.head.load(Ordering::Relaxed);
+                        continue;
                     }
                 } else if h.stall_pos.load(Ordering::Relaxed) != 0 {
                     // Genuinely empty (or a fresh head): any stall track
                     // belongs to a position we have moved past.
                     h.stall_pos.store(0, Ordering::Relaxed);
-                    h.stall_polls.store(0, Ordering::Relaxed);
                 }
                 return None;
             } else {
@@ -555,6 +572,18 @@ mod tests {
 
     fn req(id: u64) -> Request {
         Request { req_id: id, submit_us: 10 * id, demand_us: 100 + id }
+    }
+
+    /// Polls `pop` until `done` holds, collecting what it yields; fails if
+    /// the ring stays wedged far past the patience window.
+    fn poll_until(r: &SubmitRing, mut done: impl FnMut(&[u64]) -> bool) -> Vec<u64> {
+        let t0 = Instant::now();
+        let mut got = Vec::new();
+        while !done(&got) {
+            got.extend(r.pop().map(|q| q.req_id));
+            assert!(t0.elapsed() < 50 * ABANDON_AFTER, "ring stayed wedged");
+        }
+        got
     }
 
     #[test]
@@ -652,18 +681,12 @@ mod tests {
         assert_eq!(r.pop().unwrap().req_id, 0);
 
         // The head now sits on the claimed-but-unpublished slot. The
-        // consumer tolerates it for ABANDON_AFTER_POLLS empty polls...
-        let mut empties = 0;
-        let recovered = loop {
-            match r.pop() {
-                Some(q) => break q,
-                None => empties += 1,
-            }
-            assert!(empties < 4 * ABANDON_AFTER_POLLS, "ring stayed wedged");
-        };
+        // consumer tolerates it for ABANDON_AFTER...
+        let t0 = Instant::now();
+        let recovered = poll_until(&r, |got| !got.is_empty());
         // ...then tombstones it and delivers the request behind it.
-        assert_eq!(recovered.req_id, 2);
-        assert_eq!(empties, ABANDON_AFTER_POLLS - 1);
+        assert_eq!(recovered, vec![2]);
+        assert!(t0.elapsed() >= ABANDON_AFTER, "abandoned inside the patience window");
         assert_eq!(r.abandoned(), 1);
         assert_eq!(r.pop(), None);
 
@@ -677,17 +700,28 @@ mod tests {
         assert_eq!(r.dropped(), 0);
     }
 
+    /// The patience window is time, not polls: a spinning consumer burns
+    /// thousands of empty polls on a stalled slot (the old 8-poll budget
+    /// lasted under a microsecond) without declaring its claimant dead.
     #[test]
     fn stalled_slot_not_abandoned_before_patience_window() {
         let r = SubmitRing::with_capacity(4);
         r.reserve_abandon(0).unwrap();
-        for _ in 0..ABANDON_AFTER_POLLS - 1 {
-            assert_eq!(r.pop(), None);
+        let t0 = Instant::now();
+        let mut polls = 0u64;
+        loop {
+            let popped = r.pop();
+            let abandoned = r.abandoned();
+            // The window opened no earlier than `t0`, so a poll that
+            // returned while it is still open cannot have tombstoned.
+            if t0.elapsed() >= ABANDON_AFTER {
+                break;
+            }
+            assert_eq!((popped, abandoned), (None, 0), "abandoned after {polls} polls");
+            polls += 1;
         }
-        // One poll short of the window: nothing abandoned yet.
-        assert_eq!(r.abandoned(), 0);
-        assert_eq!(r.pop(), None); // crosses the threshold
-        assert_eq!(r.abandoned(), 1);
+        assert!(polls > 8, "only {polls} polls fit in the window");
+        poll_until(&r, |_| r.abandoned() == 1);
     }
 
     #[test]
@@ -696,12 +730,7 @@ mod tests {
         // Kill a client mid-publish in every slot.
         for k in 0..2u64 {
             r.reserve_abandon(0).unwrap();
-            let mut polls = 0;
-            while r.abandoned() < k + 1 {
-                assert_eq!(r.pop(), None);
-                polls += 1;
-                assert!(polls < 4 * ABANDON_AFTER_POLLS, "slot never abandoned");
-            }
+            assert!(poll_until(&r, |_| r.abandoned() == k + 1).is_empty());
         }
         assert_eq!(r.abandoned(), 2);
         // No usable slots remain: submit sheds instead of spinning.
@@ -723,15 +752,7 @@ mod tests {
         for i in 1..=5 {
             r.submit(req(i), 0).unwrap();
         }
-        let mut got = Vec::new();
-        let mut polls = 0;
-        while got.len() < 5 {
-            if let Some(q) = r.pop() {
-                got.push(q.req_id);
-            }
-            polls += 1;
-            assert!(polls < 100, "ring stayed wedged");
-        }
+        let got = poll_until(&r, |got| got.len() == 5);
         assert_eq!(got, vec![1, 2, 3, 4, 5]);
         assert_eq!(r.abandoned(), 1);
     }

@@ -16,39 +16,8 @@ use crate::registry::Registry;
 use crate::rng::VictimRng;
 use crate::sync::{preempt_point, Ordering};
 use crate::telemetry::CoordSample;
-use crate::trace::{now_us, CoordCase, RtEvent, LANE_SHARED};
-
-/// Eq. 1 with the divide-by-zero guard (all workers asleep but work is
-/// queued ⇒ demand is the queue length itself).
-#[allow(clippy::manual_checked_ops)]
-pub fn eq1_wake_target(queued: usize, active: usize) -> usize {
-    // Not a checked division: the zero-active case deliberately returns
-    // the queue length (see the paper-deviation notes in DESIGN.md).
-    if active == 0 {
-        queued
-    } else {
-        queued / active
-    }
-}
-
-/// The §3.3 three-case split: given the wake target `n_w` and the table
-/// supply (`n_f` free cores, `n_r` reclaimable cores), returns how many
-/// cores to take from each pool as `(from_free, from_reclaim)`.
-///
-/// * `N_w ≤ N_f` — free cores alone satisfy demand; reclaim nothing.
-/// * `N_f < N_w ≤ N_f + N_r` — take every free core and reclaim the
-///   shortfall from the program's own released cores.
-/// * `N_w > N_f + N_r` — take everything available; never touch a core
-///   another program holds and has not released.
-pub fn plan_wakes(n_w: usize, n_f: usize, n_r: usize) -> (usize, usize) {
-    if n_w <= n_f {
-        (n_w, 0)
-    } else if n_w <= n_f + n_r {
-        (n_f, n_w - n_f)
-    } else {
-        (n_f, n_r)
-    }
-}
+use crate::trace::{now_us, RtEvent, LANE_SHARED};
+use dws_core::policy::{eq1_wake_target, plan_wakes};
 
 /// What one coordinator pass observed — the adaptive controller's
 /// feedback signal (`queued`/`active` are the Eq. 1 inputs, `n_w` its
@@ -102,18 +71,10 @@ pub(crate) fn coordinate_once(reg: &Registry, rng: &VictimRng) -> CoordPass {
         });
     };
 
-    // Decision-event helper: classifies the §3.3 case from the observed
-    // demand/supply and records on the shared lane.
+    // Decision-event helper: records the observed demand/supply on the
+    // shared lane, labelled with the §3.3 case the wake plan falls into.
     let record_decision = |n_b: usize, n_a: usize, n_f: usize, n_r: usize, n_w: usize| {
-        let case = if n_w == 0 {
-            CoordCase::NoAction
-        } else if n_w <= n_f {
-            CoordCase::FreeOnly
-        } else if n_w <= n_f + n_r {
-            CoordCase::FreePlusReclaim
-        } else {
-            CoordCase::TakeAllAvailable
-        };
+        let case = plan_wakes(n_w, n_f, n_r).case;
         reg.trace
             .record(LANE_SHARED, RtEvent::CoordinatorDecision { n_b, n_a, n_f, n_r, n_w, case });
     };
@@ -189,18 +150,18 @@ pub(crate) fn coordinate_once(reg: &Registry, rng: &VictimRng) -> CoordPass {
             // latency spans the whole wait for a grant.
             reg.metrics.note_demand_rise(now_us());
 
-            let (want_free, want_reclaim) = plan_wakes(n_w, n_f, n_r);
+            let plan = plan_wakes(n_w, n_f, n_r);
             // The snapshot is stale by now under contention; the CAS
             // grants below are what keep it safe.
             preempt_point("coord-apply");
 
             // Random selection among free cores (paper: "randomly selects
             // N_w free cores").
-            for i in 0..want_free.min(free.len()) {
+            for i in 0..plan.from_free {
                 let j = i + rng.next_below(free.len() - i);
                 free.swap(i, j);
             }
-            for &core in free.iter().take(want_free) {
+            for &core in free.iter().take(plan.from_free) {
                 if core < reg.workers.len() && table.try_acquire_free(core, prog) {
                     RtMetrics::bump(&reg.metrics.cores_acquired);
                     reg.trace.record(LANE_SHARED, RtEvent::Acquire { prog, core });
@@ -208,7 +169,7 @@ pub(crate) fn coordinate_once(reg: &Registry, rng: &VictimRng) -> CoordPass {
                     woken += 1;
                 }
             }
-            for &core in reclaimable.iter().take(want_reclaim) {
+            for &core in reclaimable.iter().take(plan.from_reclaim) {
                 if core < reg.workers.len() && table.try_reclaim(core, prog) {
                     RtMetrics::bump(&reg.metrics.cores_reclaimed);
                     reg.trace.record(LANE_SHARED, RtEvent::Reclaim { prog, core });
@@ -219,13 +180,13 @@ pub(crate) fn coordinate_once(reg: &Registry, rng: &VictimRng) -> CoordPass {
             if woken > 0 {
                 reg.metrics.note_demand_met(now_us());
             }
-            publish(queued, active, n_f, n_r, n_w, (want_free, want_reclaim), woken);
+            publish(queued, active, n_f, n_r, n_w, (plan.from_free, plan.from_reclaim), woken);
             CoordPass { queued, active, n_w }
         }
         Policy::DwsNc => {
             if tracing {
-                // No table: supply is unconstrained, so a nonzero `N_w`
-                // classifies as take-all.
+                // No table: nothing is free or reclaimable, so a nonzero
+                // `N_w` classifies as take-all.
                 record_decision(queued, active, 0, 0, n_w);
             }
             // Wake N_w arbitrary sleeping workers; no table, no
@@ -353,27 +314,5 @@ pub(crate) fn coordinator_loop(reg: Arc<Registry>) {
         if let Some(ctl) = controller.as_mut() {
             ctl.update(&reg.knobs, pass.queued, pass.active, pass.n_w);
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn eq1_matches_paper() {
-        assert_eq!(eq1_wake_target(0, 4), 0);
-        assert_eq!(eq1_wake_target(3, 4), 0);
-        assert_eq!(eq1_wake_target(4, 4), 1);
-        assert_eq!(eq1_wake_target(100, 4), 25);
-        assert_eq!(eq1_wake_target(6, 0), 6);
-    }
-
-    #[test]
-    fn plan_wakes_three_cases() {
-        assert_eq!(plan_wakes(2, 3, 1), (2, 0)); // N_w <= N_f
-        assert_eq!(plan_wakes(4, 3, 2), (3, 1)); // N_f < N_w <= N_f + N_r
-        assert_eq!(plan_wakes(9, 3, 2), (3, 2)); // N_w > N_f + N_r
-        assert_eq!(plan_wakes(0, 3, 2), (0, 0));
     }
 }

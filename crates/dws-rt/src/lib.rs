@@ -83,7 +83,7 @@ pub use alloc_table::{
 pub use config::{
     AdaptiveConfig, Policy, RuntimeConfig, ServeConfig, TelemetryConfig, TraceConfig,
 };
-pub use coordinator::{eq1_wake_target, plan_wakes};
+pub use dws_core::policy::{eq1_wake_target, plan_wakes, WakePlan};
 pub use dws_deque::{Request, SubmitError, SubmitRing, TaskId};
 pub use join::join;
 pub use metrics::{

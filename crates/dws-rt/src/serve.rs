@@ -38,6 +38,14 @@ use crate::registry::Registry;
 use crate::sync::Ordering;
 use crate::trace::{now_us, RtEvent, LANE_SHARED};
 
+// The ring presumes a client stalled between reserve and publish dead on
+// its own timer; it must never be quicker to do so than the lease
+// machinery is to declare a whole program dead.
+const _: () = assert!(
+    dws_deque::ABANDON_AFTER.as_nanos()
+        >= crate::config::RuntimeConfig::LEASE_TIMEOUT_FLOOR.as_nanos()
+);
+
 /// The work a serving program performs per admitted request. Runs on a
 /// worker like any spawned task; `Request::demand_us` conventionally
 /// carries the service demand the generator sampled, but the handler is

@@ -32,19 +32,7 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-/// Which §3.3 case a coordinator decision fell into (mirrors the
-/// simulator's `CoordCase`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CoordCase {
-    /// Nothing to do: no demand or nobody asleep.
-    NoAction,
-    /// `N_w ≤ N_f`: free cores alone cover the demand.
-    FreeOnly,
-    /// `N_f < N_w ≤ N_f + N_r`: free cores plus reclaimed home cores.
-    FreePlusReclaim,
-    /// `N_w > N_f + N_r`: demand exceeds supply, take everything legal.
-    TakeAllAvailable,
-}
+pub use dws_core::policy::CoordCase;
 
 /// One scheduling event on the real runtime (the `dws-sim::SchedEvent`
 /// vocabulary, with real-thread additions: steal outcomes and task

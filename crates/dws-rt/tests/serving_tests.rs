@@ -88,7 +88,10 @@ fn non_serving_runtime_has_no_ring() {
 #[test]
 fn full_ring_sheds_and_counts_drops() {
     // Tiny ring, manual pumping only: fill it, watch the overflow drop.
-    let mut cfg = RuntimeConfig::new(2, Policy::Ws).with_serving_geometry(4, 64);
+    // Polling-only, or the submit doorbell wakes the coordinator to drain
+    // behind the test's back.
+    let mut cfg =
+        RuntimeConfig::new(2, Policy::Ws).with_serving_geometry(4, 64).with_polling_only();
     cfg.coordinator_period = Duration::from_secs(3600); // never drains on its own
     let rt = Runtime::serve(cfg, |_req| {});
     for i in 0..4 {
@@ -134,6 +137,8 @@ fn traced_serving_emits_admit_events_and_request_sojourns() {
     // The end-to-end sojourn histogram filled (tracing gates it).
     let hist = rt.histograms();
     assert_eq!(hist.request_sojourn.count(), n, "one request sojourn sample per request");
+    // The admission counter reaches live telemetry frames.
+    assert_eq!(rt.telemetry("serve").sample_now().counters.requests_admitted, n);
 }
 
 #[test]

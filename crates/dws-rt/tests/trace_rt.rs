@@ -24,7 +24,8 @@ fn traced_corun_is_observable_and_protocol_clean() {
     let shared: Arc<dyn CoreTable> = Arc::clone(&table) as Arc<dyn CoreTable>;
 
     let mk = || {
-        let mut cfg = RuntimeConfig::new(cores, Policy::Dws).with_tracing_capacity(1 << 15);
+        let mut cfg =
+            RuntimeConfig::new(cores, Policy::Dws).with_tracing_capacity(1 << 15).with_telemetry();
         cfg.coordinator_period = std::time::Duration::from_millis(2);
         cfg.sleep_timeout = Some(std::time::Duration::from_millis(10));
         cfg
@@ -85,8 +86,19 @@ fn traced_corun_is_observable_and_protocol_clean() {
     let doc: serde_json::Value = serde_json::from_str(&chrome).unwrap();
     assert!(matches!(&doc["traceEvents"], serde_json::Value::Array(v) if !v.is_empty()));
 
-    drop(p0);
+    let telemetry = p0.telemetry("p0");
+    drop(p0); // shutdown flushes a final frame
     drop(p1);
+
+    // Frames sampled from this real co-run survive the JSONL sink
+    // unchanged (the schema itself is pinned in `dws-core`).
+    let frames = telemetry.frames();
+    assert!(!frames.is_empty(), "sampler left no frames");
+    let text = dws_rt::frames_to_jsonl(&frames);
+    assert_eq!(text.lines().count(), frames.len());
+    for (line, frame) in text.lines().zip(&frames) {
+        assert_eq!(serde_json::from_str::<dws_rt::TelemetryFrame>(line).unwrap(), *frame);
+    }
 
     // Live invariant replay over the shared table's full history. Replay
     // is only sound over a complete history, so skip it (loudly) if the

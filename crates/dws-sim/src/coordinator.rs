@@ -16,6 +16,10 @@
 //! can be tested exhaustively; applying it (acquiring table slots, waking
 //! workers) is the caller's job.
 
+pub use dws_core::policy::{eq1_wake_target, CoordCase};
+
+use dws_core::policy::plan_wakes;
+
 use crate::alloc_table::AllocTable;
 use crate::rng::XorShift64Star;
 
@@ -28,19 +32,6 @@ pub struct CoordObservation {
     pub active_workers: usize,
     /// Workers currently asleep (upper bound on wakes).
     pub sleeping_workers: usize,
-}
-
-/// Which of the paper's three cases applied (for metrics/tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CoordCase {
-    /// `N_w = 0` (or nobody sleeping): nothing to do.
-    NoAction,
-    /// Case 1: enough free cores.
-    FreeOnly,
-    /// Case 2: free cores plus some reclaimed home cores.
-    FreePlusReclaim,
-    /// Case 3: demand exceeds supply; take all free + all reclaimable.
-    TakeAllAvailable,
 }
 
 /// The coordinator's plan: which cores to take and how.
@@ -63,23 +54,6 @@ impl CoordDecision {
     }
 }
 
-/// Computes the raw Eq. 1 wake target `N_w = N_b / N_a` with the
-/// divide-by-zero guard: a program whose workers are all asleep but that
-/// has queued tasks must wake at least one worker or it deadlocks (the
-/// paper implicitly assumes `N_a ≥ 1`; with `T_SLEEP` sleeping the main
-/// worker after its run completes, `N_a = 0` is reachable).
-#[allow(clippy::manual_checked_ops)]
-pub fn eq1_wake_target(queued_tasks: usize, active_workers: usize) -> usize {
-    // Not a checked division: the zero-active case deliberately returns
-    // the queue length (deadlock guard; see module docs).
-    if active_workers == 0 {
-        // All asleep: demand is the queue itself.
-        queued_tasks
-    } else {
-        queued_tasks / active_workers
-    }
-}
-
 /// Full DWS decision against the allocation table (cases 1-3).
 ///
 /// `prog` is the deciding program; `rng` drives the random free-core
@@ -91,42 +65,20 @@ pub fn decide_dws(
     rng: &mut XorShift64Star,
 ) -> CoordDecision {
     let n_w = eq1_wake_target(obs.queued_tasks, obs.active_workers).min(obs.sleeping_workers);
-    if n_w == 0 {
-        return CoordDecision {
-            n_w,
-            take_free: vec![],
-            reclaim: vec![],
-            case: CoordCase::NoAction,
-        };
-    }
-
     let mut free = table.free_cores();
-    let reclaimable = table.reclaimable_cores(prog);
-    let n_f = free.len();
-    let n_r = reclaimable.len();
-
-    if n_w <= n_f {
-        // Case 1: randomly select N_w free cores (Fisher-Yates prefix).
-        for i in 0..n_w {
+    let mut reclaim = table.reclaimable_cores(prog);
+    let plan = plan_wakes(n_w, free.len(), reclaim.len());
+    if plan.case == CoordCase::FreeOnly {
+        // Randomly select N_w free cores (Fisher-Yates prefix). The other
+        // cases take every free core, so there is nothing to choose.
+        for i in 0..plan.from_free {
             let j = i + rng.next_below(free.len() - i);
             free.swap(i, j);
         }
-        free.truncate(n_w);
-        CoordDecision { n_w, take_free: free, reclaim: vec![], case: CoordCase::FreeOnly }
-    } else if n_w <= n_f + n_r {
-        // Case 2: all free cores + (N_w - N_f) reclaimed home cores.
-        let mut reclaim = reclaimable;
-        reclaim.truncate(n_w - n_f);
-        CoordDecision { n_w, take_free: free, reclaim, case: CoordCase::FreePlusReclaim }
-    } else {
-        // Case 3: all free + all reclaimable, nothing more.
-        CoordDecision {
-            n_w,
-            take_free: free,
-            reclaim: reclaimable,
-            case: CoordCase::TakeAllAvailable,
-        }
     }
+    free.truncate(plan.from_free);
+    reclaim.truncate(plan.from_reclaim);
+    CoordDecision { n_w, take_free: free, reclaim, case: plan.case }
 }
 
 /// DWS-NC decision (§4.2 ablation): same Eq. 1 target, but wake arbitrary
@@ -142,20 +94,6 @@ mod tests {
 
     fn obs(b: usize, a: usize, s: usize) -> CoordObservation {
         CoordObservation { queued_tasks: b, active_workers: a, sleeping_workers: s }
-    }
-
-    #[test]
-    fn eq1_is_floor_division() {
-        assert_eq!(eq1_wake_target(16, 8), 2);
-        assert_eq!(eq1_wake_target(7, 8), 0);
-        assert_eq!(eq1_wake_target(8, 8), 1);
-        assert_eq!(eq1_wake_target(100, 4), 25);
-    }
-
-    #[test]
-    fn eq1_guards_all_asleep() {
-        assert_eq!(eq1_wake_target(5, 0), 5);
-        assert_eq!(eq1_wake_target(0, 0), 0);
     }
 
     #[test]

@@ -1169,6 +1169,12 @@ mod tests {
                 assert!(b.counters.coordinator_runs >= a.counters.coordinator_runs);
                 assert!(b.coord.decisions >= a.coord.decisions);
             }
+            // Real simulated frames survive the JSONL sink unchanged.
+            let text = crate::telemetry::frames_to_jsonl(&frames);
+            assert_eq!(text.lines().count(), frames.len());
+            for (line, frame) in text.lines().zip(&frames) {
+                assert_eq!(serde_json::from_str::<TelemetryFrame>(line).unwrap(), *frame);
+            }
             let last = sim.latest_frame(p).unwrap();
             assert_eq!(last.prog, p);
             assert_eq!(last.cores.len(), 4);

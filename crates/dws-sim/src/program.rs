@@ -4,6 +4,8 @@
 
 use std::collections::VecDeque;
 
+use dws_deque::batch_quota;
+
 use crate::config::{SchedConfig, SimTime};
 use crate::metrics::ProgramMetrics;
 use crate::rng::XorShift64Star;
@@ -11,18 +13,6 @@ use crate::workload::{JoinId, PhaseSpec, Task, TaskBody, WorkloadSpec};
 
 /// Sub-microsecond residue below which task work counts as finished.
 const WORK_EPSILON: f64 = 1e-9;
-
-/// Hard cap on tasks per batch transfer; mirrors
-/// `dws_deque::MAX_STEAL_BATCH`.
-const MAX_STEAL_BATCH: usize = 32;
-
-/// Tasks one batch steal may take from a deque observed with `len`
-/// queued tasks. Mirrors `dws_deque::batch_quota` exactly — ceil-half,
-/// capped by `limit` and [`MAX_STEAL_BATCH`] — so simulated transfer
-/// sizes match the real runtime's (pinned by a parity test below).
-pub(crate) fn batch_quota(len: usize, limit: usize) -> usize {
-    len.div_ceil(2).min(limit).min(MAX_STEAL_BATCH)
-}
 
 /// A pending join: when `remaining` subtree notifications arrive, the
 /// continuation task becomes runnable on the notifying worker.
@@ -651,19 +641,6 @@ mod tests {
             prog.metrics.tasks_stolen >= prog.metrics.steals_ok,
             "every successful steal moves at least one task"
         );
-    }
-
-    #[test]
-    fn batch_quota_matches_the_real_deque() {
-        for len in 0..200 {
-            for limit in [1, 2, 3, 8, 31, 32, 33, usize::MAX] {
-                assert_eq!(
-                    batch_quota(len, limit),
-                    dws_deque::batch_quota(len, limit),
-                    "quota diverged at len={len} limit={limit}"
-                );
-            }
-        }
     }
 
     /// A wide wave on one worker, then a sibling steals: the batch takes

@@ -193,8 +193,8 @@ proptest! {
     /// The decision's per-pool counts follow the §3.3 three-case split
     /// exactly: `(n_w, 0)` when free cores suffice, `(n_f, n_w - n_f)`
     /// when reclaims cover the shortfall, `(n_f, n_r)` when demand
-    /// exceeds everything. Mirrors `dws_rt::plan_wakes` (the cross-crate
-    /// agreement test lives in the harness's `protocol_mirror` suite).
+    /// exceeds everything — restated here independently of
+    /// `dws_core::policy::plan_wakes`, against real reachable table states.
     #[test]
     fn decide_dws_counts_follow_the_three_cases(
         queued in 0usize..200,

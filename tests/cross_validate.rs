@@ -3,8 +3,8 @@
 //! streams must replay protocol-clean through `dws_rt::ReplayChecker`
 //! with reclaim/acquire counts that agree with each system's own
 //! metrics. This pins the simulator and the runtime to the *same*
-//! Table-1 protocol semantics end to end, not just in the unit-level
-//! mirror tests.
+//! Table-1 protocol semantics end to end — the decision rule they share
+//! by construction (`dws-core`), the table protocol only by this test.
 
 use std::sync::Arc;
 
