@@ -102,6 +102,16 @@ pub enum Bug {
     /// clean (the timeout fallback still runs the passes), so only that
     /// rule can see it. Implies the doorbell scenario.
     LostWake,
+    /// The coordinator re-arms the demand-rise edge *after* it samples
+    /// `N_b` instead of before. A worker whose demand edge fires between
+    /// the sample and the ack finds the edge still spent, so it does not
+    /// ring — and the ack then wipes the only record that it wanted to.
+    /// The coordinator parks on a demand nobody will announce; the
+    /// heartbeat still runs every pass, so all work completes and every
+    /// table transition and counter stays clean. Only the oracle's
+    /// doorbell demand rule (no park over a swallowed demand edge) sees
+    /// it. Implies the doorbell scenario.
+    LateAck,
 }
 
 /// Shape and timing of one model instance. All times are virtual
@@ -167,11 +177,12 @@ pub struct ModelConfig {
     pub drain_batch: usize,
     /// Event-driven control plane: each program gets a model doorbell
     /// (pending word + condvar over the shim primitives). Workers ring
-    /// the home program's doorbell on release, clients ring on submit,
-    /// and the coordinator waits on it instead of sleeping blind —
-    /// exactly the runtime's DESIGN §16 wake edges. `false` adds *no*
-    /// scheduler operations, keeping every non-doorbell schedule space
-    /// (and every pinned seed) byte-identical to the pre-doorbell model.
+    /// the home program's doorbell on release and their own on a demand
+    /// rise, clients ring on submit, and the coordinator waits on it
+    /// instead of sleeping blind — exactly the runtime's DESIGN §16 wake
+    /// edges. `false` adds *no* scheduler operations, keeping every
+    /// non-doorbell schedule space (and every pinned seed) byte-identical
+    /// to the pre-doorbell model.
     pub doorbell: bool,
     /// Seeded protocol mutation, if any.
     pub bug: Option<Bug>,
@@ -286,15 +297,21 @@ impl ModelConfig {
 
     /// The event-driven instance: the standard 2-program/4-core shape
     /// with the per-program doorbell on and program 0 also submitting
-    /// two external requests, so all three wake edges exist — release
-    /// rings (worker → home program's coordinator), submit rings
+    /// two external requests, so every wake edge exists — release rings
+    /// (worker → home program's coordinator), demand rings (worker → own
+    /// coordinator, gated by the demand-rise edge), submit rings
     /// (client → own coordinator) and the timeout fallback. Exploration
     /// covers every interleaving of ring vs wait vs timeout — the space
     /// where a check-then-park doorbell loses wakes
-    /// ([`Bug::LostWake`]).
+    /// ([`Bug::LostWake`]) and an ack on the wrong side of the `N_b`
+    /// sample swallows a demand ([`Bug::LateAck`]).
     pub fn doorbell() -> Self {
         ModelConfig {
             doorbell: true,
+            // Twelve tasks are six or more takes by program 0's workers
+            // while its non-home workers sleep: enough that the demand
+            // edge fires, and is found spent, in most schedules.
+            tasks: vec![12, 2],
             submits: vec![2, 0],
             coord_ticks: 8,
             ..ModelConfig::standard()
@@ -705,6 +722,12 @@ struct Shared {
     /// touched when `cfg.doorbell` is set, so non-doorbell schedule
     /// spaces are unchanged.
     doorbells: Vec<ModelDoorbell>,
+    /// Per-program demand-rise edge: `true` from the worker CAS that
+    /// spends it (a demand ring follows) until the coordinator's ack.
+    /// The runtime's third state — blocked, no core obtainable — is not
+    /// modelled: it only withholds rings, and rings are advisory. Only
+    /// touched when `cfg.doorbell` is set.
+    demand_rung: Vec<AtomicBool>,
     awake: Vec<Vec<AtomicBool>>,
     /// SIGKILL delivered to the program: its threads exit at the next
     /// check without releasing anything.
@@ -823,6 +846,52 @@ fn release_and_ring(sh: &Shared, prog: usize, core: usize) {
     }
 }
 
+/// `N_a`: how many of `prog`'s workers are awake right now.
+fn awake_count(sh: &Shared, prog: usize) -> usize {
+    (0..sh.cfg.cores).filter(|&c| sh.awake[prog][c].load(Ordering::SeqCst)).count()
+}
+
+/// The worker-side demand-rise edge (the model analogue of the runtime's
+/// `push` hook, DESIGN §16.1), evaluated by a worker that just took work
+/// and leaves more behind. The gate is the runtime's: a sibling sleeps,
+/// Eq. 1 holds on the queue as seen from here, and a pass could grant a
+/// core (one is free, or a home core is in other hands). A gate that
+/// passes spends the edge and rings the program's own doorbell; one that
+/// finds the edge already spent logs the demand it swallowed — the
+/// coordinator's next sample owes it an answer. No-op (zero shim
+/// operations) when the config has no doorbell.
+fn demand_edge(sh: &Shared, prog: usize) {
+    if !sh.cfg.doorbell {
+        return;
+    }
+    let n_b = sh.queued[prog].load(Ordering::SeqCst);
+    let n_a = awake_count(sh, prog);
+    if n_a == sh.cfg.cores || eq1_wake_target(n_b, n_a) == 0 {
+        return;
+    }
+    let obtainable = (0..sh.cfg.cores).any(|c| {
+        let cur = sh.table.current(c);
+        cur == FREE || (sh.home[c] == prog && cur != prog as i32)
+    });
+    if !obtainable {
+        return;
+    }
+    // Swap and log are adjacent (no yield point between), so log order is
+    // the edge's linearization order.
+    if sh.demand_rung[prog].swap(true, Ordering::SeqCst) {
+        sh.table.log_event(ProtoEvent::DemandSuppressed { prog });
+        return;
+    }
+    sh.table.log_event(ProtoEvent::DemandRing { prog });
+    ring_doorbell(sh, prog);
+}
+
+/// The coordinator's ack: re-arms the demand-rise edge.
+fn ack_demand_edge(sh: &Shared, prog: usize) {
+    sh.demand_rung[prog].store(false, Ordering::SeqCst);
+    sh.table.log_event(ProtoEvent::DemandAck { prog });
+}
+
 fn worker_loop(sh: &Shared, prog: usize, core: usize) {
     let t_sleep = sh.cfg.t_sleep.max(1);
     let timeout = Duration::from_nanos(sh.cfg.sleep_timeout_ns.max(1));
@@ -893,6 +962,7 @@ fn worker_loop(sh: &Shared, prog: usize, core: usize) {
             if taken > 1 {
                 sh.table.log_event(ProtoEvent::StealBatch { prog, worker: core, observed, taken });
             }
+            demand_edge(sh, prog);
             // Winning the reservation CAS claims `taken` consecutive
             // identities from the program's task ledger.
             let base = sh.task_cursor[prog].fetch_add(taken as u64, Ordering::SeqCst);
@@ -1043,12 +1113,24 @@ fn coordinator_loop(sh: &Shared, prog: usize) {
         if sh.cfg.submits[prog] > 0 {
             drain_ring(sh, prog);
         }
+        // Ack the demand-rise edge *before* the snapshot: a worker that
+        // found the edge spent did so before this store, so the sample
+        // below answers it; one that comes later rings again. Under
+        // [`Bug::LateAck`] the ack moves behind the sample.
+        let late_ack = sh.cfg.bug == Some(Bug::LateAck);
+        if sh.cfg.doorbell && !late_ack {
+            ack_demand_edge(sh, prog);
+        }
         // Snapshot — racy by design, like the runtime coordinator's.
         preempt_point("coord-snapshot");
         let n_b = sh.queued[prog].load(Ordering::SeqCst);
-        let n_a = (0..sh.cfg.cores).filter(|&c| sh.awake[prog][c].load(Ordering::SeqCst)).count();
+        let n_a = awake_count(sh, prog);
         let n_w = eq1_wake_target(n_b, n_a);
         sh.table.log_event(ProtoEvent::CoordTick { prog, n_b, n_a, n_w });
+        if sh.cfg.doorbell && late_ack {
+            preempt_point("coord-late-ack");
+            ack_demand_edge(sh, prog);
+        }
         if n_w == 0 {
             continue;
         }
@@ -1248,6 +1330,7 @@ pub fn spawn_model(env: &Env, cfg: &ModelConfig, _seed: u64) -> impl FnOnce(bool
             .map(|_| (0..cfg.cores).map(|_| ModelSleeper::new()).collect())
             .collect(),
         doorbells: (0..cfg.programs).map(|_| ModelDoorbell::new()).collect(),
+        demand_rung: (0..cfg.programs).map(|_| AtomicBool::new(false)).collect(),
         awake: (0..cfg.programs)
             .map(|p| (0..cfg.cores).map(|c| AtomicBool::new(home[c] == p)).collect())
             .collect(),

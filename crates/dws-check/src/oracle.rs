@@ -55,7 +55,15 @@
 //!   not persisted, so the waiter parked straight past it (the
 //!   check-then-park hole the pending-word protocol closes);
 //! * a `DoorbellConsume` requires a pending ring — consuming a wake
-//!   nobody delivered means the doorbell fabricated one.
+//!   nobody delivered means the doorbell fabricated one;
+//! * a worker whose demand edge found the edge already spent
+//!   (`DemandSuppressed`) is owed a coordinator sample (`CoordTick`)
+//!   taken after it: that is what the spent edge promised. A
+//!   `DoorbellSleep` with such a demand still unanswered and no demand
+//!   ring in flight (`DemandRing` whose `DoorbellRing` has not landed) is
+//!   a **lost demand** — the coordinator acknowledged the edge on the
+//!   wrong side of its `N_b` sample and parked on work nobody will
+//!   announce.
 
 use std::collections::HashSet;
 use std::fmt;
@@ -180,6 +188,24 @@ pub enum ProtoEvent {
         /// Program whose coordinator consumed the ring.
         prog: usize,
     },
+    /// A worker of program `prog` spent the armed demand-rise edge; its
+    /// `DoorbellRing` on the program's own doorbell follows.
+    DemandRing {
+        /// Program whose worker saw the demand rise.
+        prog: usize,
+    },
+    /// A worker of program `prog` saw a demand rise but found the edge
+    /// already spent, so it did not ring: the coordinator's next sample
+    /// must come after this.
+    DemandSuppressed {
+        /// Program whose worker saw the demand rise.
+        prog: usize,
+    },
+    /// Program `prog`'s coordinator re-armed its demand-rise edge.
+    DemandAck {
+        /// Program whose coordinator acknowledged.
+        prog: usize,
+    },
     /// A reaper fenced the lease of dead program `prog` (stale
     /// heartbeat + death confirmed).
     Expired {
@@ -217,6 +243,9 @@ impl fmt::Display for ProtoEvent {
             ProtoEvent::DoorbellRing { prog } => write!(f, "ring     prog={prog}"),
             ProtoEvent::DoorbellSleep { prog } => write!(f, "dbsleep  prog={prog}"),
             ProtoEvent::DoorbellConsume { prog } => write!(f, "consume  prog={prog}"),
+            ProtoEvent::DemandRing { prog } => write!(f, "demand   prog={prog} rings"),
+            ProtoEvent::DemandSuppressed { prog } => write!(f, "demand   prog={prog} suppressed"),
+            ProtoEvent::DemandAck { prog } => write!(f, "ack      prog={prog}"),
             ProtoEvent::Expired { prog } => write!(f, "expired  prog={prog}"),
             ProtoEvent::Reap { prog, core } => write!(f, "reap     prog={prog} core={core}"),
         }
@@ -345,6 +374,10 @@ pub struct Oracle {
     admitted: HashSet<(usize, u64)>,
     /// Programs with a doorbell ring delivered but not yet consumed.
     db_pending: HashSet<usize>,
+    /// Programs whose worker spent the demand edge and has not rung yet.
+    demand_in_flight: HashSet<usize>,
+    /// Programs with a suppressed demand no coordinator sample answered.
+    demand_unanswered: HashSet<usize>,
     next_index: usize,
     /// Counts of table transitions replayed so far.
     pub stats: OracleStats,
@@ -363,6 +396,8 @@ impl Oracle {
             submitted: HashSet::new(),
             admitted: HashSet::new(),
             db_pending: HashSet::new(),
+            demand_in_flight: HashSet::new(),
+            demand_unanswered: HashSet::new(),
             next_index: 0,
             stats: OracleStats::default(),
         }
@@ -543,6 +578,9 @@ impl Oracle {
                 // Rings are advisory and may legally target an expired
                 // program's doorbell (nobody is listening).
                 self.db_pending.insert(prog);
+                // Whichever edge rang, the demand ring in flight (if any)
+                // can no longer be lost: a pass is owed now.
+                self.demand_in_flight.remove(&prog);
             }
             ProtoEvent::DoorbellSleep { prog } => {
                 if self.db_pending.contains(&prog) {
@@ -551,13 +589,30 @@ impl Oracle {
                          pending (the pending word was not consumed)"
                     ));
                 }
+                if self.demand_unanswered.contains(&prog) && !self.demand_in_flight.contains(&prog)
+                {
+                    return fail(format!(
+                        "lost demand: prog {prog} began a doorbell sleep over a demand edge \
+                         that found the edge spent and was never sampled (ack after the \
+                         N_b sample)"
+                    ));
+                }
             }
             ProtoEvent::DoorbellConsume { prog } => {
                 if !self.db_pending.remove(&prog) {
                     return fail(format!("doorbell consume by prog {prog} without a pending ring"));
                 }
             }
-            ProtoEvent::Sleep { .. } | ProtoEvent::Wake { .. } | ProtoEvent::CoordTick { .. } => {}
+            ProtoEvent::DemandRing { prog } => {
+                self.demand_in_flight.insert(prog);
+            }
+            ProtoEvent::DemandSuppressed { prog } => {
+                self.demand_unanswered.insert(prog);
+            }
+            ProtoEvent::CoordTick { prog, .. } => {
+                self.demand_unanswered.remove(&prog);
+            }
+            ProtoEvent::Sleep { .. } | ProtoEvent::Wake { .. } | ProtoEvent::DemandAck { .. } => {}
         }
         Ok(())
     }
@@ -1000,6 +1055,51 @@ mod tests {
         // Per-program pending: prog 1's ring does not excuse prog 0.
         let trace = [DoorbellRing { prog: 1 }, DoorbellSleep { prog: 0 }];
         Oracle::replay(&HOME, &trace).expect("pending ring is per program");
+    }
+
+    #[test]
+    fn a_suppressed_demand_must_be_sampled_before_the_coordinator_parks() {
+        use ProtoEvent::*;
+        let tick = CoordTick { prog: 0, n_b: 2, n_a: 1, n_w: 2 };
+        // Ack before sample: whoever found the edge spent is in the sample.
+        let clean = [
+            DemandRing { prog: 0 },
+            DoorbellRing { prog: 0 },
+            DoorbellConsume { prog: 0 },
+            DemandSuppressed { prog: 0 },
+            DemandAck { prog: 0 },
+            tick,
+            DoorbellSleep { prog: 0 },
+        ];
+        Oracle::replay(&HOME, &clean).expect("ack-then-sample answers the suppressed demand");
+        // A ring still in flight covers the park: it will end it.
+        let in_flight = [
+            DemandRing { prog: 0 },
+            DemandSuppressed { prog: 0 },
+            DoorbellSleep { prog: 0 },
+            DoorbellRing { prog: 0 },
+            DoorbellConsume { prog: 0 },
+            DemandAck { prog: 0 },
+            tick,
+            DoorbellSleep { prog: 0 },
+        ];
+        Oracle::replay(&HOME, &in_flight).expect("the in-flight ring answers it");
+        // Sample, then a worker finds the edge spent, then the ack wipes it.
+        let late = [
+            DemandRing { prog: 0 },
+            DoorbellRing { prog: 0 },
+            DoorbellConsume { prog: 0 },
+            tick,
+            DemandSuppressed { prog: 0 },
+            DemandAck { prog: 0 },
+            DoorbellSleep { prog: 0 },
+        ];
+        let v = Oracle::replay(&HOME, &late).unwrap_err();
+        assert_eq!(v.index, 6);
+        assert!(v.reason.contains("lost demand"), "{v:?}");
+        // Another program's park is not this program's problem.
+        Oracle::replay(&HOME, &[DemandSuppressed { prog: 0 }, DoorbellSleep { prog: 1 }])
+            .expect("per-program rule");
     }
 
     #[test]

@@ -126,6 +126,11 @@ pub struct CounterSample {
     /// Coordinator passes triggered by a doorbell edge instead of the
     /// polling fallback heartbeat (0 with `event_driven` off).
     pub doorbell_wakes: u64,
+    /// `DOORBELL_DEMAND` rings the program sent its own coordinator (the
+    /// push-side demand-rise edge, DESIGN §16.1). About one per fork-join
+    /// region that starts with sleepers; a rate near the push rate is a
+    /// ring storm.
+    pub demand_rings: u64,
     /// This program's settled core-µs integral from the allocation ledger
     /// (DESIGN §14): total core time received since the ledger started.
     /// 0 when the table carries no ledger.

@@ -66,6 +66,7 @@ fn full_frame() -> TelemetryFrame {
             zombies_fenced: 1,
             leases_rearmed: 1,
             doorbell_wakes: 23,
+            demand_rings: 19,
             core_us_total: 654_321,
         },
         latency: LatencySample {

@@ -60,10 +60,10 @@ const USAGE: &str = "usage: check [OPTIONS]
                    stall-fence/reap pass, including the resumed
                    zombie's duty to refuse all further table activity
   --doorbell       event-driven control plane: coordinators park on a
-                   per-program doorbell (release/submit edges ring it,
-                   the period is only the fallback heartbeat), checked
-                   by the doorbell wake rule (a sleep never begins with
-                   a ring pending)
+                   per-program doorbell (release/demand/submit edges
+                   ring it, the period is only the fallback heartbeat),
+                   checked by the doorbell rules (a sleep never begins
+                   with a ring pending, nor over a swallowed demand)
   --fast           coarser atomicity (loads are not yield points); much
                    higher schedule throughput
   --bug <name>     seed a protocol mutation (the run SHOULD fail; exits 0
@@ -98,7 +98,13 @@ const USAGE: &str = "usage: check [OPTIONS]
                                       persisting the pending word, so a
                                       ring between waits evaporates
                                       (implies --doorbell; caught only
-                                      by the doorbell wake rule)";
+                                      by the doorbell wake rule)
+                     late-ack         the coordinator re-arms the
+                                      demand-rise edge after sampling
+                                      N_b, swallowing a demand that
+                                      found the edge spent (implies
+                                      --doorbell; caught only by the
+                                      doorbell demand rule)";
 
 fn parse() -> Result<Cli, String> {
     let mut cli = Cli {
@@ -182,6 +188,10 @@ fn parse() -> Result<Cli, String> {
                     "lost-wake" => {
                         cli.doorbell = true;
                         Bug::LostWake
+                    }
+                    "late-ack" => {
+                        cli.doorbell = true;
+                        Bug::LateAck
                     }
                     other => return Err(format!("unknown bug `{other}`")),
                 });
@@ -322,6 +332,7 @@ fn main() -> ExitCode {
             }
             Some(Bug::ZombieWrite) => ", seeded bug: zombie-write (post-fence rule)",
             Some(Bug::LostWake) => ", seeded bug: lost-wake (doorbell wake rule)",
+            Some(Bug::LateAck) => ", seeded bug: late-ack (doorbell demand rule)",
             None => "",
         },
     );

@@ -92,11 +92,12 @@ pub fn render_program_panel(label: &str, f: &TelemetryFrame, color: bool) -> Str
         // constants unless the adaptive controller retuned them. Absent
         // only in frames predating the knob gauges (period 0).
         out.push_str(&format!(
-            "  knobs  T_SLEEP {}  period {}  batch {}   doorbell wakes {}\n",
+            "  knobs  T_SLEEP {}  period {}  batch {}   doorbell wakes {}   demand rings {}\n",
             c.knob_t_sleep,
             fmt_ns(c.knob_period_us.saturating_mul(1_000)),
             c.knob_steal_batch,
             k.doorbell_wakes,
+            k.demand_rings,
         ));
     }
     // Mean steal batch size = tasks moved / successful steal ops.
@@ -286,7 +287,9 @@ mod tests {
         assert!(text.contains("plan 1+1"));
         assert!(text.contains("woken 2"));
         assert!(text.contains("decisions 33"));
-        assert!(text.contains("knobs  T_SLEEP 16  period 10ms  batch 8   doorbell wakes 0"));
+        assert!(text.contains(
+            "knobs  T_SLEEP 16  period 10ms  batch 8   doorbell wakes 0   demand rings 0"
+        ));
         assert!(text.contains("steal p50 2us p99 65us"));
         assert!(text.contains("sojourn p50 16us p99 2ms"), "{text}");
         assert!(!text.contains('\x1b'), "no ANSI codes without color");
@@ -299,9 +302,12 @@ mod tests {
         f.coord.knob_period_us = 1_250;
         f.coord.knob_steal_batch = 32;
         f.counters.doorbell_wakes = 41;
+        f.counters.demand_rings = 7;
         let text = render_program_panel("p", &f, false);
         assert!(
-            text.contains("knobs  T_SLEEP 64  period 1ms  batch 32   doorbell wakes 41"),
+            text.contains(
+                "knobs  T_SLEEP 64  period 1ms  batch 32   doorbell wakes 41   demand rings 7"
+            ),
             "{text}"
         );
         // A pre-knob frame (period 0) renders no knob line at all.

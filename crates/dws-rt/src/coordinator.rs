@@ -90,8 +90,12 @@ pub(crate) fn coordinate_once(reg: &Registry, rng: &VictimRng) -> CoordPass {
     };
 
     let dws = reg.effective_policy == Policy::Dws;
-    let sleeping = reg.sleeping_workers();
-    if sleeping.is_empty() {
+    // Acknowledge the demand-rise edge *before* sampling `N_b`: a push
+    // that found the edge already spent is then in the sample below, and
+    // a push after this line rings again (DESIGN §16.1).
+    let rung = reg.ack_demand_edge();
+    let n_sleeping = reg.sleeping_count();
+    if n_sleeping == 0 {
         // Every worker is awake: the Eq. 1 demand is satisfied by
         // definition, so any pending rise is cleared (no grant to time)
         // and a demand fall starts waiting for the next release.
@@ -109,14 +113,17 @@ pub(crate) fn coordinate_once(reg: &Registry, rng: &VictimRng) -> CoordPass {
         return CoordPass::idle(0, reg.workers.len());
     }
     let queued = reg.queued_jobs();
-    let active = reg.workers.len() - sleeping.len();
-    let n_w = eq1_wake_target(queued, active).min(sleeping.len());
+    let active = reg.workers.len().saturating_sub(n_sleeping);
+    let n_w = eq1_wake_target(queued, active).min(n_sleeping);
     if n_w == 0 {
         // Demand fell (or never rose). Stamp the fall only while some
         // worker is still awake — with everything already asleep and
         // released there is no core left whose release could pair with it.
         if dws && active > 0 {
             reg.metrics.note_demand_fall(now_us());
+        }
+        if rung {
+            reg.block_demand_edge();
         }
         if observing {
             let (n_f, n_r) = supply();
@@ -145,9 +152,11 @@ pub(crate) fn coordinate_once(reg: &Registry, rng: &VictimRng) -> CoordPass {
             if tracing {
                 record_decision(queued, active, n_f, n_r, n_w);
             }
-            // Demand-satisfaction clock (DESIGN §14): stamp the rise once;
-            // the stamp survives supply-starved ticks so the measured
-            // latency spans the whole wait for a grant.
+            // Demand-satisfaction clock (DESIGN §14): the push edge stamps
+            // a rise where it happens; this stamps one that arrived some
+            // other way (injected work, admissions, polling-only). The
+            // stamp survives supply-starved ticks so the measured latency
+            // spans the whole wait for a grant.
             reg.metrics.note_demand_rise(now_us());
 
             let plan = plan_wakes(n_w, n_f, n_r);
@@ -190,16 +199,16 @@ pub(crate) fn coordinate_once(reg: &Registry, rng: &VictimRng) -> CoordPass {
                 record_decision(queued, active, 0, 0, n_w);
             }
             // Wake N_w arbitrary sleeping workers; no table, no
-            // exclusivity (§4.2 ablation).
-            let mut candidates = sleeping;
-            for i in 0..n_w.min(candidates.len()) {
-                let j = i + rng.next_below(candidates.len() - i);
-                candidates.swap(i, j);
-            }
-            let woken = n_w.min(candidates.len());
-            for &w in candidates.iter().take(n_w) {
-                reg.wake_worker(w);
-            }
+            // exclusivity (§4.2 ablation). "Arbitrary" is a random
+            // starting point in the worker ring.
+            let n = reg.workers.len();
+            let start = rng.next_below(n);
+            let woken = (0..n)
+                .map(|i| (start + i) % n)
+                .filter(|&w| reg.workers[w].sleeper.is_sleeping())
+                .take(n_w)
+                .map(|w| reg.wake_worker(w))
+                .count();
             publish(queued, active, 0, 0, n_w, (0, 0), woken);
             CoordPass { queued, active, n_w }
         }

@@ -337,18 +337,23 @@ pub struct RtMetrics {
     /// Coordinator passes triggered by an edge (doorbell ring) rather than
     /// the polling heartbeat — the event-driven control plane at work.
     pub doorbell_wakes: AtomicU64,
-    /// Demand-satisfaction latency (DESIGN §14): Eq. 1 demand rise
-    /// (`N_w > 0` first observed) → the coordinator granting at least one
-    /// core. Runtime-level (written only by the coordinator thread), not
-    /// per-shard.
+    /// `DOORBELL_DEMAND` rings this program sent its own coordinator: the
+    /// push-side demand-rise edge plus the injector's all-asleep,
+    /// no-core-obtainable fallback (DESIGN §16.1). About one per
+    /// fork-join region that starts with sleepers; many more is a storm.
+    pub demand_rings: AtomicU64,
+    /// Demand-satisfaction latency (DESIGN §14): Eq. 1 demand rise (the
+    /// push that first saw it, else the pass that did) → the coordinator
+    /// granting at least one core. Runtime-level (recorded only by the
+    /// coordinator thread), not per-shard.
     pub alloc_latency: LogHistogram,
     /// Demand-release latency: Eq. 1 demand fall (`N_w == 0` first
     /// observed with cores to spare) → a core actually released back to
     /// the table for the co-runner (sleep path).
     pub release_latency: LogHistogram,
     /// Pending demand-rise timestamp (µs since trace epoch; 0 = none).
-    /// Set by the coordinator when demand first rises, cleared when the
-    /// matching grant lands or demand falls away.
+    /// Set when demand first rises (push edge or coordinator pass),
+    /// cleared when the matching grant lands or demand falls away.
     pub demand_rise_us: AtomicU64,
     /// Pending demand-fall timestamp (µs since trace epoch; 0 = none).
     /// Set by the coordinator when demand falls, cleared by the first
@@ -405,6 +410,8 @@ pub struct MetricsSnapshot {
     pub leases_rearmed: u64,
     /// Coordinator passes triggered by a doorbell edge.
     pub doorbell_wakes: u64,
+    /// `DOORBELL_DEMAND` rings sent to the program's own coordinator.
+    pub demand_rings: u64,
 }
 
 /// Histograms aggregated across all worker shards.
@@ -479,6 +486,7 @@ impl RtMetrics {
             zombies_fenced: self.zombies_fenced.load(Ordering::Relaxed),
             leases_rearmed: self.leases_rearmed.load(Ordering::Relaxed),
             doorbell_wakes: self.doorbell_wakes.load(Ordering::Relaxed),
+            demand_rings: self.demand_rings.load(Ordering::Relaxed),
         }
     }
 
@@ -506,9 +514,9 @@ impl RtMetrics {
         agg
     }
 
-    /// Records a demand rise at `now_us` if none is already pending
-    /// (coordinator only). The stamp survives ticks where the demand
-    /// persists unmet, so the measured latency spans the full wait.
+    /// Records a demand rise at `now_us` if none is already pending. The
+    /// stamp survives ticks where the demand persists unmet, so the
+    /// measured latency spans the full wait.
     #[inline]
     pub fn note_demand_rise(&self, now_us: u64) {
         let _ = self.demand_rise_us.compare_exchange(

@@ -19,7 +19,7 @@ use crate::adaptive::Knobs;
 use crate::affinity;
 use crate::alloc_table::{
     CoreTable, InProcessTable, LedgerTable, DOORBELL_DEMAND, DOORBELL_RELEASE, DOORBELL_SHUTDOWN,
-    DOORBELL_SUBMIT, DOORBELL_SURPLUS,
+    DOORBELL_SUBMIT,
 };
 use crate::config::{Policy, RuntimeConfig};
 use crate::coordinator::coordinator_loop;
@@ -32,6 +32,7 @@ use crate::sleep::{Sleeper, WakeReason};
 use crate::sync::{preempt_point, AtomicBool, AtomicUsize, Ordering};
 use crate::telemetry::{sampler_loop, TelemetryFrame, TelemetryHandle, TelemetryState};
 use crate::trace::{now_us, RtEvent, RtTrace, TraceSnapshot, LANE_SHARED};
+use dws_core::policy::eq1_wake_target;
 
 thread_local! {
     /// The worker currently driving this thread, if any.
@@ -81,7 +82,29 @@ pub(crate) struct Registry {
     /// limit): equal to the configured values unless the adaptive
     /// controller retunes them (DESIGN §16.2).
     pub(crate) knobs: Knobs,
+    /// Workers parked in [`Registry::park_worker`] right now. Counted
+    /// after the sleeper released its core, so `sleepers == workers`
+    /// means every core this program held is back in the table. One
+    /// relaxed load of this word is all `push` pays while nobody sleeps.
+    sleepers: AtomicUsize,
+    /// Demand-rise edge (DESIGN §16.1): [`EDGE_ARMED`] until a push finds
+    /// Eq. 1 demand with a sibling asleep, then [`EDGE_RUNG`] (a
+    /// `DOORBELL_DEMAND` ring is on its way to the coordinator) or
+    /// [`EDGE_BLOCKED`] (a pass could grant nothing, or just answered a
+    /// ring with `N_w = 0`). Either way later pushes return after one
+    /// more load; the coordinator re-arms it at the top of every pass.
+    demand_edge: AtomicUsize,
 }
+
+/// [`Registry::demand_edge`]: the next qualifying push rings.
+const EDGE_ARMED: usize = 0;
+/// [`Registry::demand_edge`]: rung, and the coordinator has not yet
+/// started the pass that answers it.
+const EDGE_RUNG: usize = 1;
+/// [`Registry::demand_edge`]: ringing again before the next pass would
+/// only repeat its answer — every sleeper's core is held by another
+/// program, or the last ring was a false alarm.
+const EDGE_BLOCKED: usize = 2;
 
 impl Registry {
     /// `N_b` as the coordinator sees it: queued jobs in all deques plus
@@ -109,9 +132,28 @@ impl Registry {
                 .sum::<usize>()
     }
 
-    /// Indices of currently sleeping workers.
-    pub(crate) fn sleeping_workers(&self) -> Vec<usize> {
-        (0..self.workers.len()).filter(|&i| self.workers[i].sleeper.is_sleeping()).collect()
+    /// Indices of the workers flagged asleep, without allocating.
+    pub(crate) fn sleepers(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.workers.len()).filter(|&i| self.workers[i].sleeper.is_sleeping())
+    }
+
+    /// How many workers are parked (the `sleepers` word, not a scan).
+    pub(crate) fn sleeping_count(&self) -> usize {
+        self.sleepers.load(Ordering::Acquire)
+    }
+
+    /// Blocks worker `w` in its sleeper until woken or `timeout`, counted
+    /// in `sleepers` for exactly that long. Under DWS the caller has
+    /// already released `w`'s core.
+    pub(crate) fn park_worker(
+        &self,
+        w: usize,
+        timeout: Option<Duration>,
+    ) -> (WakeReason, Duration) {
+        self.sleepers.fetch_add(1, Ordering::AcqRel);
+        let out = self.workers[w].sleeper.sleep_timed(timeout);
+        self.sleepers.fetch_sub(1, Ordering::AcqRel);
+        out
     }
 
     /// Wakes worker `i` (idempotent).
@@ -128,83 +170,145 @@ impl Registry {
         }
     }
 
+    /// Rings our own coordinator for a demand rise, counted in
+    /// `demand_rings` so a ring storm shows in recorded data.
+    fn ring_demand(&self) {
+        if self.config.event_driven {
+            RtMetrics::bump(&self.metrics.demand_rings);
+            self.table.ring_doorbell(self.prog_id, DOORBELL_DEMAND);
+        }
+    }
+
+    /// Makes `core` ours if the protocol allows it: it already is, it is
+    /// free, or it is our own home core in another program's hands.
+    /// `try_reclaim` can only succeed on a home core, so a foreign core
+    /// costs no reclaim call. Transitions are traced on `lane`.
+    pub(crate) fn legitimize(&self, core: usize, lane: u32) -> bool {
+        let (table, prog) = (&*self.table, self.prog_id);
+        if table.current(core) == Some(prog) {
+            true
+        } else if table.try_acquire_free(core, prog) {
+            self.trace.record(lane, RtEvent::Acquire { prog, core });
+            true
+        } else if table.home(core) == prog && table.try_reclaim(core, prog) {
+            self.trace.record(lane, RtEvent::Reclaim { prog, core });
+            true
+        } else {
+            false
+        }
+    }
+
     /// Makes sure at least one worker will notice freshly injected work,
     /// granting it a core first when the table demands exclusivity.
     pub(crate) fn ensure_progress(&self) {
-        let sleeping = self.sleeping_workers();
-        if sleeping.len() < self.workers.len() {
+        if self.sleeping_count() < self.workers.len() {
             return; // somebody is awake and will find the work
         }
-        match self.effective_policy {
-            Policy::Dws => {
-                for &w in &sleeping {
-                    let core = self.workers[w].core;
-                    preempt_point("ensure-progress-legitimize");
-                    let got = if self.table.current(core) == Some(self.prog_id) {
-                        true
-                    } else if self.table.try_acquire_free(core, self.prog_id) {
-                        self.trace
-                            .record(LANE_SHARED, RtEvent::Acquire { prog: self.prog_id, core });
-                        true
-                    } else if self.table.try_reclaim(core, self.prog_id) {
-                        self.trace
-                            .record(LANE_SHARED, RtEvent::Reclaim { prog: self.prog_id, core });
-                        true
-                    } else {
-                        false
-                    };
-                    if got {
-                        self.wake_worker(w);
-                        return;
-                    }
-                }
-                // No core obtainable right now; wake the first home worker
-                // anyway — it will re-sleep if it cannot legitimize — and
-                // ring our own doorbell so the coordinator re-plans *now*
-                // instead of at the next period.
-                if let Some(&w) = sleeping.first() {
+        if self.effective_policy == Policy::Dws {
+            // Everyone is parked, so every core was released: any worker
+            // whose core we can take will do. The wake is a permit, so it
+            // lands even on a worker that has not flagged itself yet.
+            for w in 0..self.workers.len() {
+                preempt_point("ensure-progress-legitimize");
+                if self.legitimize(self.workers[w].core, LANE_SHARED) {
                     self.wake_worker(w);
-                }
-                self.ring_doorbell(self.prog_id, DOORBELL_DEMAND);
-            }
-            _ => {
-                if let Some(&w) = sleeping.first() {
-                    self.wake_worker(w);
+                    return;
                 }
             }
+            // No core obtainable right now; wake the first worker anyway
+            // — it will re-sleep if it cannot legitimize — and ring our
+            // own doorbell so the coordinator re-plans *now* instead of
+            // at the next period.
+            self.ring_demand();
         }
+        self.wake_worker(0);
     }
 
     /// Batch-steal surplus wake: a thief that just parked extra tasks in
     /// its own deque turned one queue of work into two, so a sleeping
     /// sibling can start on the surplus *now* instead of waiting for the
     /// coordinator's next period (up to `coord_period` of dead time on
-    /// the critical path). Wakes at most one sleeper, granting it a core
-    /// first when the table demands exclusivity; a cheap scan-and-return
-    /// when nobody sleeps.
+    /// the critical path). Wakes at most one sleeper — under DWS the first
+    /// whose core it can legitimize, none if there is no such core (a
+    /// coordinator pass would try the same CASes, so nothing is rung). One
+    /// load and return when nobody sleeps.
     pub(crate) fn wake_one_for_surplus(&self) {
-        let Some(w) = (0..self.workers.len()).find(|&i| self.workers[i].sleeper.is_sleeping())
-        else {
+        if self.sleeping_count() == 0 {
             return;
-        };
-        if self.effective_policy == Policy::Dws {
-            let core = self.workers[w].core;
+        }
+        let dws = self.effective_policy == Policy::Dws;
+        for w in self.sleepers() {
             preempt_point("surplus-wake-legitimize");
-            if self.table.current(core) == Some(self.prog_id) {
-                // Already ours — nothing to claim.
-            } else if self.table.try_acquire_free(core, self.prog_id) {
-                self.trace.record(LANE_SHARED, RtEvent::Acquire { prog: self.prog_id, core });
-            } else if self.table.try_reclaim(core, self.prog_id) {
-                self.trace.record(LANE_SHARED, RtEvent::Reclaim { prog: self.prog_id, core });
-            } else {
-                // No core for it right now; don't wake into an eviction.
-                // The doorbell makes the coordinator re-plan immediately
-                // instead of letting the surplus sit out the period.
-                self.ring_doorbell(self.prog_id, DOORBELL_SURPLUS);
+            if !dws || self.legitimize(self.workers[w].core, LANE_SHARED) {
+                self.wake_worker(w);
                 return;
             }
         }
-        self.wake_worker(w);
+    }
+
+    /// The demand-rise edge, called by [`WorkerThread::push`] when a
+    /// sibling is parked (`asleep > 0`) and the runtime is event-driven.
+    /// Rings `DOORBELL_DEMAND` iff the edge is armed, the pusher's own
+    /// deque already satisfies Eq. 1 for the awake workers (`queued` is a
+    /// lower bound of `N_b`), and some core is free or is our home core
+    /// held by a co-runner — exactly what a pass can grant. A sleeper
+    /// whose core is already ours has its wake in flight and is skipped.
+    /// The coordinator re-arms the edge *before* it samples `N_b`, so a
+    /// push that found the edge spent is covered by the pass that spent
+    /// it; what the relaxed loads can still miss, the heartbeat finds.
+    #[cold]
+    fn demand_rose(&self, queued: usize, asleep: usize) {
+        if self.demand_edge.load(Ordering::Relaxed) != EDGE_ARMED {
+            return;
+        }
+        let awake = self.workers.len().saturating_sub(asleep);
+        if eq1_wake_target(queued, awake) == 0 {
+            return;
+        }
+        // The same supply a pass looks at (it grants by core, not by
+        // sleeper flag): free cores and our home cores in other hands.
+        let obtainable = self.effective_policy != Policy::Dws
+            || self.workers.iter().any(|w| match self.table.current(w.core) {
+                None => true,
+                Some(p) => p != self.prog_id && self.table.home(w.core) == self.prog_id,
+            });
+        let spent = if obtainable { EDGE_RUNG } else { EDGE_BLOCKED };
+        if self
+            .demand_edge
+            .compare_exchange(EDGE_ARMED, spent, Ordering::AcqRel, Ordering::Relaxed)
+            .is_err()
+        {
+            return; // a sibling's push got here first
+        }
+        // The rise is stamped here, where it happens, so `alloc_latency`
+        // includes the ring, the pass and any wait for a core.
+        self.metrics.note_demand_rise(now_us());
+        if obtainable {
+            self.ring_demand();
+        }
+    }
+
+    /// Re-arms the demand-rise edge; true if a demand ring was outstanding.
+    /// The coordinator calls this at the top of a pass, before it reads
+    /// `N_b`: a push that saw the edge spent happened before this swap, so
+    /// the sample that follows sees its job; a push after it rings again.
+    pub(crate) fn ack_demand_edge(&self) -> bool {
+        self.demand_edge.swap(EDGE_ARMED, Ordering::AcqRel) == EDGE_RUNG
+    }
+
+    /// A demand ring that the pass answered with `N_w = 0` was a false
+    /// alarm: the rise was over before a wake round-trip could serve it
+    /// (a serial loop of tiny joins does this once per push). Leave the
+    /// edge spent until the next pass, which with nothing else ringing is
+    /// the heartbeat — the paper's cadence, so never worse than polling.
+    /// A push that re-rang since the ack keeps its ring.
+    pub(crate) fn block_demand_edge(&self) {
+        let _ = self.demand_edge.compare_exchange(
+            EDGE_ARMED,
+            EDGE_BLOCKED,
+            Ordering::AcqRel,
+            Ordering::Relaxed,
+        );
     }
 
     /// Stamps a task identity onto a job entering through the injector
@@ -357,6 +461,8 @@ impl Runtime {
             external_seq: AtomicU64::new(0),
             serving,
             knobs,
+            sleepers: AtomicUsize::new(0),
+            demand_edge: AtomicUsize::new(EDGE_ARMED),
         });
 
         let threads = deques
@@ -524,7 +630,7 @@ impl Runtime {
 
     /// Number of workers currently asleep (diagnostic).
     pub fn sleeping_workers(&self) -> usize {
-        self.registry.sleeping_workers().len()
+        self.registry.sleepers().count()
     }
 
     /// The shared core-allocation table.
@@ -865,8 +971,7 @@ impl WorkerThread {
             reg.trace
                 .record(lane, RtEvent::Sleep { worker: self.index, evicted: evicted && first });
             first = false;
-            let (reason, slept) =
-                reg.workers[self.index].sleeper.sleep_timed(reg.config.sleep_timeout);
+            let (reason, slept) = reg.park_worker(self.index, reg.config.sleep_timeout);
             RtMetrics::bump(&reg.metrics.wakes);
             {
                 // Wake counter + duration sample publish together; the
@@ -898,18 +1003,7 @@ impl WorkerThread {
                     }
                     if reg.effective_policy == Policy::Dws {
                         preempt_point("worker-legitimize");
-                        let legit = if reg.table.current(core) == Some(reg.prog_id) {
-                            true
-                        } else if reg.table.try_acquire_free(core, reg.prog_id) {
-                            reg.trace.record(lane, RtEvent::Acquire { prog: reg.prog_id, core });
-                            true
-                        } else if reg.table.try_reclaim(core, reg.prog_id) {
-                            reg.trace.record(lane, RtEvent::Reclaim { prog: reg.prog_id, core });
-                            true
-                        } else {
-                            false
-                        };
-                        if !legit {
+                        if !reg.legitimize(core, lane) {
                             starved_timeouts += 1;
                             if starved_timeouts < STARVATION_GRACE {
                                 continue;
@@ -1113,6 +1207,13 @@ impl WorkerThread {
             }
         }
         self.deque.push(job);
+        // Demand-rise edge (DESIGN §16.1). While nobody sleeps this is the
+        // whole cost: one relaxed load.
+        let reg = &*self.registry;
+        let asleep = reg.sleepers.load(Ordering::Relaxed);
+        if asleep != 0 && reg.config.event_driven {
+            reg.demand_rose(self.deque.len(), asleep);
+        }
     }
 
     /// Pops the most recently pushed job, if still present.
@@ -1266,6 +1367,8 @@ mod tests {
             external_seq: AtomicU64::new(0),
             serving: None,
             knobs,
+            sleepers: AtomicUsize::new(0),
+            demand_edge: AtomicUsize::new(EDGE_ARMED),
         });
         (registry, deques)
     }
@@ -1317,7 +1420,7 @@ mod tests {
         // its parked job (the real runtime always sets the flag on a
         // non-empty sleep entry in go_to_sleep); with it, N_b is intact.
         let reg2 = Arc::clone(&reg);
-        let sleeper = std::thread::spawn(move || reg2.workers[2].sleeper.sleep(None));
+        let sleeper = std::thread::spawn(move || reg2.park_worker(2, None));
         while !reg.workers[2].sleeper.is_sleeping() {
             std::thread::yield_now();
         }
@@ -1346,7 +1449,7 @@ mod tests {
         reg.wake_one_for_surplus(); // nobody asleep: cheap no-op
 
         let reg2 = Arc::clone(&reg);
-        let sleeper = std::thread::spawn(move || reg2.workers[1].sleeper.sleep(None));
+        let sleeper = std::thread::spawn(move || reg2.park_worker(1, None));
         while !reg.workers[1].sleeper.is_sleeping() {
             std::thread::yield_now();
         }
@@ -1361,7 +1464,7 @@ mod tests {
     fn surplus_wake_needs_a_core_under_dws() {
         let (reg, _deques) = bare_registry_with(2, Policy::Dws, 2);
         let reg2 = Arc::clone(&reg);
-        let sleeper = std::thread::spawn(move || reg2.workers[1].sleeper.sleep(None));
+        let sleeper = std::thread::spawn(move || reg2.park_worker(1, None));
         while !reg.workers[1].sleeper.is_sleeping() {
             std::thread::yield_now();
         }
@@ -1377,5 +1480,94 @@ mod tests {
         reg.wake_one_for_surplus();
         sleeper.join().unwrap();
         assert_eq!(reg.table.current(1), Some(0), "core granted before the wake");
+    }
+
+    /// The demand-rise edge as a state machine, driven by hand: one ring
+    /// per armed edge, re-armed by the coordinator's ack, held back after
+    /// a ring the pass answered with `N_w = 0`, and blocked without a ring
+    /// when no core is obtainable.
+    #[test]
+    fn demand_edge_rings_once_per_ack_and_backs_off_after_a_false_alarm() {
+        use crate::coordinator::coordinate_once;
+        let (reg, deques) = bare_registry_with(2, Policy::Dws, 1);
+        let rng = VictimRng::new(7);
+        let rings = || reg.metrics.snapshot().demand_rings;
+        assert!(reg.table.release(1, 0), "worker 1 releases its core, then parks");
+        let reg2 = Arc::clone(&reg);
+        let parked = std::thread::spawn(move || reg2.park_worker(1, None));
+        while reg.sleepers().count() < 1 {
+            std::thread::yield_now();
+        }
+
+        reg.demand_rose(0, 1);
+        assert_eq!(rings(), 0, "an empty deque is no Eq. 1 demand");
+        reg.demand_rose(1, 1);
+        reg.demand_rose(1, 1);
+        assert_eq!(rings(), 1, "one ring per armed edge");
+        assert_ne!(
+            reg.metrics.demand_rise_us.load(Ordering::Relaxed),
+            0,
+            "rise stamped at the push"
+        );
+
+        // The pass finds nothing queued: a false alarm. The edge stays
+        // spent until the pass after it.
+        assert_eq!(coordinate_once(&reg, &rng).n_w, 0);
+        reg.demand_rose(1, 1);
+        assert_eq!(rings(), 1, "no ring between a false alarm and the next pass");
+        assert_eq!(coordinate_once(&reg, &rng).n_w, 0);
+        reg.demand_rose(1, 1);
+        assert_eq!(rings(), 2, "the next pass re-armed it");
+
+        // A ring answered with a grant re-arms at once; with the core now
+        // ours (wake in flight) there is nothing left to ring for.
+        deques[0].push(noop_job());
+        assert_eq!(coordinate_once(&reg, &rng).n_w, 1);
+        assert_eq!(reg.table.current(1), Some(0), "the pass granted the free core");
+        parked.join().unwrap();
+        let reg2 = Arc::clone(&reg);
+        let parked = std::thread::spawn(move || reg2.park_worker(1, None));
+        while reg.sleepers().count() < 1 {
+            std::thread::yield_now();
+        }
+        reg.demand_rose(1, 1);
+        assert_eq!(rings(), 2, "blocked: no core a pass could grant");
+        reg.wake_worker(1);
+        parked.join().unwrap();
+        assert_eq!(drain(&deques[0]), 1);
+    }
+
+    /// The surplus wake tries every sleeper, not only the first: a held
+    /// core in front must not hide an obtainable one behind it.
+    #[test]
+    fn surplus_wake_skips_a_held_core_for_an_obtainable_one() {
+        let (reg, _deques) = bare_registry_with(3, Policy::Dws, 3);
+        let parked: Vec<_> = [1, 2]
+            .into_iter()
+            .map(|w| {
+                let reg2 = Arc::clone(&reg);
+                std::thread::spawn(move || reg2.park_worker(w, None))
+            })
+            .collect();
+        while reg.sleepers().count() < 2 {
+            std::thread::yield_now();
+        }
+        assert_eq!(reg.sleeping_count(), 2);
+
+        // Core 1 is held by its home program; core 2's has let go.
+        assert!(reg.table.release(2, 2));
+        assert!(!reg.legitimize(1, LANE_SHARED), "foreign and held: no way in");
+        reg.wake_one_for_surplus();
+        while reg.workers[2].sleeper.is_sleeping() {
+            std::thread::yield_now();
+        }
+        assert_eq!(reg.table.current(2), Some(0), "worker 2 got its core, then its wake");
+        assert!(reg.workers[1].sleeper.is_sleeping(), "worker 1 has no core to wake into");
+
+        reg.wake_worker(1);
+        for h in parked {
+            h.join().unwrap();
+        }
+        assert_eq!(reg.sleeping_count(), 0);
     }
 }

@@ -209,6 +209,7 @@ pub(crate) fn sample_frame(reg: &Registry, prev: Option<&AggregatedHistograms>) 
         zombies_fenced: snap.zombies_fenced,
         leases_rearmed: snap.leases_rearmed,
         doorbell_wakes: snap.doorbell_wakes,
+        demand_rings: snap.demand_rings,
         core_us_total: table
             .alloc_ledger()
             .map_or(0, |ledger| ledger.snapshot().core_us.get(prog).copied().unwrap_or(0)),
@@ -409,7 +410,7 @@ type LatencyMetric = (&'static str, &'static str, fn(&LatencySample) -> u64, &'s
 pub fn render_prometheus(frames: &[(String, TelemetryFrame)]) -> String {
     let mut w = PromWriter { out: String::new() };
 
-    let counters: [CounterMetric; 22] = [
+    let counters: [CounterMetric; 23] = [
         ("dws_steals_ok_total", "Successful steals.", |c| c.steals_ok),
         ("dws_steals_failed_total", "Failed steal attempts.", |c| c.steals_failed),
         (
@@ -471,6 +472,11 @@ pub fn render_prometheus(frames: &[(String, TelemetryFrame)]) -> String {
             "dws_doorbell_wakes_total",
             "Coordinator passes triggered by a doorbell edge instead of the polling heartbeat.",
             |c| c.doorbell_wakes,
+        ),
+        (
+            "dws_demand_rings_total",
+            "Demand-rise doorbell rings the program sent its own coordinator.",
+            |c| c.demand_rings,
         ),
     ];
     for (name, help, get) in counters {

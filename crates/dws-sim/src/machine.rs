@@ -599,6 +599,7 @@ impl Simulator {
                 // The sim coordinator ticks in virtual time; no futex
                 // doorbells exist to ring.
                 doorbell_wakes: 0,
+                demand_rings: 0,
                 core_us_total: ledger_us[p],
             };
             tel.push(

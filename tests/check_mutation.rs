@@ -144,6 +144,31 @@ fn checker_catches_seeded_lost_wake_via_the_doorbell_rule() {
 }
 
 #[test]
+fn checker_catches_seeded_late_ack_via_the_doorbell_demand_rule() {
+    // The demand-rise edge's ack protocol: the coordinator re-arms the
+    // edge *before* it samples N_b, so a worker that found the edge spent
+    // is always in the sample that follows. With the ack moved behind the
+    // sample, a demand edge firing in between is swallowed — no ring, and
+    // the ack wipes the flag that said one was owed. The heartbeat still
+    // runs every pass, so all work completes and every table transition
+    // and counter reconciles — only the oracle's doorbell demand rule (no
+    // park over a swallowed demand edge) can see it.
+    let cfg = ModelConfig::doorbell().with_bug(Bug::LateAck);
+    let opts = CheckOptions { faults: FaultPlan::aggressive(), ..CheckOptions::default() };
+    let explorer = Explorer::new(opts, move |env: &Env, seed| model::spawn_model(env, &cfg, seed));
+
+    let report = explorer.random(0xDEAD_BEEF, 2_000);
+    let failing = report
+        .failing()
+        .unwrap_or_else(|| panic!("late-ack mutation survived {} schedules", report.schedules))
+        .clone();
+    let failure = failing.failure.as_deref().unwrap();
+    assert!(failure.contains("lost demand"), "unexpected failure: {failure}");
+    assert!(failure.contains("ack after the N_b sample"), "unexpected failure: {failure}");
+    explorer.replay(&failing).expect("failing seed must replay identically");
+}
+
+#[test]
 fn unmutated_doorbell_model_passes_the_same_budget() {
     // Every interleaving of ring vs wait vs timeout must replay clean:
     // rings before the wait are consumed at entry, rings during the wait
