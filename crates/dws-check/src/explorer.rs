@@ -18,7 +18,7 @@ use crate::oracle::ProtoEvent;
 use crate::sched::{ctx, is_stop_payload, set_ctx, Controller};
 use crate::source::{next_dfs_prefix, Source};
 
-/// Knobs for one exploration.
+/// Settings for one exploration.
 #[derive(Debug, Clone, Copy)]
 pub struct CheckOptions {
     /// Per-run scheduling-step budget; exceeding it fails the run as a

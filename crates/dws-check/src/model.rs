@@ -9,7 +9,7 @@
 //! exactly the snapshot-then-act structure whose races the checker
 //! explores. Every successful table transition is logged immediately
 //! (no yield in between), giving a true linearization order for the
-//! [`Oracle`](crate::oracle::Oracle).
+//! [`Oracle`].
 //!
 //! [`Bug`] seeds deliberate protocol mutations for mutation-testing the
 //! checker itself: a checker that cannot catch a planted double-reclaim

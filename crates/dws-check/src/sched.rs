@@ -1,12 +1,12 @@
 //! The token-passing virtual-time scheduler.
 //!
-//! Managed threads are real OS threads, but the [`Controller`] lets only
+//! Managed threads are real OS threads, but the `Controller` lets only
 //! one run at a time: every instrumented operation (shim atomic access,
 //! lock, condvar wait, virtual sleep, marked preemption point) parks the
 //! caller and hands the token to a thread chosen by the run's
-//! [`Source`](crate::source::Source). Between yield points exactly one
-//! thread executes, so a run is a pure function of its decision sequence
-//! — the property that makes replay and exhaustive enumeration possible.
+//! [`Source`]. Between yield points exactly one thread executes, so a run
+//! is a pure function of its decision sequence — the property that makes
+//! replay and exhaustive enumeration possible.
 //!
 //! **Virtual clock.** Each scheduling step advances `now` by a fixed
 //! `step_ns`; when every thread is blocked the clock jumps to the next
@@ -18,7 +18,7 @@
 //! budget is exhausted, when a thread panics (model assertion), or when
 //! no thread can ever run again (true deadlock — reported with each
 //! thread's blocked state). Teardown unwinds every parked thread with a
-//! private [`StopToken`] panic that the spawn wrapper swallows.
+//! private `StopToken` panic that the spawn wrapper swallows.
 
 use std::sync::{Arc, Condvar as SysCondvar, Mutex as SysMutex, MutexGuard as SysMutexGuard};
 use std::time::Duration;

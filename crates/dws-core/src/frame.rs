@@ -58,13 +58,6 @@ pub struct CoordSample {
     pub woken: u64,
     /// Total coordinator evaluations so far (monotone).
     pub decisions: u64,
-    /// Live `T_SLEEP` knob at decision time (== the configured constant
-    /// unless the adaptive controller retuned it, DESIGN §16.2).
-    pub knob_t_sleep: u64,
-    /// Live coordinator decision period knob, µs.
-    pub knob_period_us: u64,
-    /// Live steal-batch limit knob.
-    pub knob_steal_batch: u64,
 }
 
 /// Monotone counters at sample time.

@@ -37,9 +37,6 @@ fn full_frame() -> TelemetryFrame {
             planned_reclaim: 2,
             woken: 2,
             decisions: 17,
-            knob_t_sleep: 16,
-            knob_period_us: 10_000,
-            knob_steal_batch: 8,
         },
         counters: CounterSample {
             steals_ok: 100,

@@ -87,19 +87,12 @@ pub fn render_program_panel(label: &str, f: &TelemetryFrame, color: bool) -> Str
         "  coord  N_b {}  N_a {}  N_w {}   supply {}f+{}r   plan {}+{}   woken {}   decisions {}\n",
         c.n_b, c.n_a, c.n_w, c.n_f, c.n_r, c.planned_free, c.planned_reclaim, c.woken, c.decisions,
     ));
-    if c.knob_period_us > 0 {
-        // Live control-plane knobs (DESIGN §16.2): the configured
-        // constants unless the adaptive controller retuned them. Absent
-        // only in frames predating the knob gauges (period 0).
-        out.push_str(&format!(
-            "  knobs  T_SLEEP {}  period {}  batch {}   doorbell wakes {}   demand rings {}\n",
-            c.knob_t_sleep,
-            fmt_ns(c.knob_period_us.saturating_mul(1_000)),
-            c.knob_steal_batch,
-            k.doorbell_wakes,
-            k.demand_rings,
-        ));
-    }
+    // Edge-triggered control plane (DESIGN §16): coordinator passes a
+    // doorbell started, and demand-rise rings from `push`.
+    out.push_str(&format!(
+        "  control doorbell wakes {}   demand rings {}\n",
+        k.doorbell_wakes, k.demand_rings,
+    ));
     // Mean steal batch size = tasks moved / successful steal ops.
     let mean_batch =
         if k.steals_ok == 0 { 0.0 } else { k.tasks_stolen as f64 / k.steals_ok as f64 };
@@ -248,9 +241,6 @@ mod tests {
                 planned_reclaim: 1,
                 woken: 2,
                 decisions: 33,
-                knob_t_sleep: 16,
-                knob_period_us: 10_000,
-                knob_steal_batch: 8,
             },
             counters: CounterSample {
                 steals_ok: 40,
@@ -287,33 +277,47 @@ mod tests {
         assert!(text.contains("plan 1+1"));
         assert!(text.contains("woken 2"));
         assert!(text.contains("decisions 33"));
-        assert!(text.contains(
-            "knobs  T_SLEEP 16  period 10ms  batch 8   doorbell wakes 0   demand rings 0"
-        ));
         assert!(text.contains("steal p50 2us p99 65us"));
         assert!(text.contains("sojourn p50 16us p99 2ms"), "{text}");
         assert!(!text.contains('\x1b'), "no ANSI codes without color");
     }
 
     #[test]
-    fn knob_panel_tracks_adaptive_retuning_and_gates_on_legacy_frames() {
+    fn control_line_renders_both_counters_for_any_frame() {
         let mut f = frame();
-        f.coord.knob_t_sleep = 64;
-        f.coord.knob_period_us = 1_250;
-        f.coord.knob_steal_batch = 32;
         f.counters.doorbell_wakes = 41;
         f.counters.demand_rings = 7;
         let text = render_program_panel("p", &f, false);
-        assert!(
-            text.contains(
-                "knobs  T_SLEEP 64  period 1ms  batch 32   doorbell wakes 41   demand rings 7"
-            ),
-            "{text}"
+        assert!(text.contains("\n  control doorbell wakes 41   demand rings 7\n"), "{text}");
+
+        // A simulated frame: dws-sim polls, so both counters stay 0, and
+        // the line still renders.
+        let mut sim = dws_sim::Simulator::new(
+            dws_sim::SimConfig::default(),
+            vec![dws_sim::ProgramSpec {
+                workload: dws_sim::WorkloadSpec {
+                    name: "sim".into(),
+                    phases: vec![dws_sim::PhaseSpec::Recursive {
+                        depth: 4,
+                        branch: 2,
+                        leaf_work_us: 50.0,
+                        node_work_us: 1.0,
+                        merge_work_us: 4.0,
+                        merge_grows: false,
+                        mem: 0.1,
+                        jitter: 0.0,
+                    }],
+                },
+                sched: dws_sim::SchedConfig::for_policy(dws_sim::Policy::Dws, 4),
+            }],
         );
-        // A pre-knob frame (period 0) renders no knob line at all.
-        f.coord.knob_period_us = 0;
-        let text = render_program_panel("p", &f, false);
-        assert!(!text.contains("knobs"), "{text}");
+        sim.enable_telemetry(10_000, 4);
+        while sim.now() < 20_000 {
+            sim.tick();
+        }
+        let sim_frame = sim.latest_frame(0).expect("a sampled frame");
+        let text = render_program_panel("sim", &sim_frame, false);
+        assert!(text.contains("\n  control doorbell wakes 0   demand rings 0\n"), "{text}");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! A traced run (`rttrace`, or any program calling
 //! [`dws_rt::export::to_jsonl`]) leaves one JSONL line per event. This
 //! module reconstructs each task's span from its `Spawn` / `Enqueue` /
-//! `ExecBegin` / `ExecEnd` events, keyed by the packed [`TaskId`], and
+//! `ExecBegin` / `ExecEnd` events, keyed by the packed [`dws_rt::TaskId`], and
 //! reports per program:
 //!
 //! * **sojourn** percentiles (spawn → exec-begin, exact over all spans,

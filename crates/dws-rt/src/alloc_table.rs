@@ -45,11 +45,11 @@ pub const FREE: i32 = -1;
 /// A core was released back to the table (rung on the core's *home*
 /// program: it is the one whose reclaim supply just changed).
 pub const DOORBELL_RELEASE: u32 = 1 << 0;
-/// Surplus work was parked with every local worker busy — more workers
-/// could help (rung on the program's own doorbell).
-pub const DOORBELL_SURPLUS: u32 = 1 << 1;
-/// The demand signal rose (e.g. all workers asleep with work queued) and
-/// the coordinator should re-run Eq. 1 now.
+/// The demand signal rose and the coordinator should re-run Eq. 1 now
+/// (rung on the program's own doorbell). `WorkerThread::push` rings it on
+/// the demand-rise edge — Eq. 1 demand with a sibling asleep on an
+/// obtainable core — and `ensure_progress` when work is injected with
+/// every worker asleep and no core obtainable. Bit `1 << 1` is unassigned.
 pub const DOORBELL_DEMAND: u32 = 1 << 2;
 /// A request was pushed into the program's submission ring and should be
 /// admitted without waiting out the coordinator period.
@@ -1124,9 +1124,9 @@ mod tests {
     #[test]
     fn doorbell_is_per_program() {
         let t = InProcessTable::new(2, 2);
-        t.ring_doorbell(0, DOORBELL_SURPLUS);
+        t.ring_doorbell(0, DOORBELL_SUBMIT);
         assert_eq!(t.wait_doorbell(1, Duration::from_millis(10)), 0);
-        assert_eq!(t.wait_doorbell(0, Duration::from_millis(10)), DOORBELL_SURPLUS);
+        assert_eq!(t.wait_doorbell(0, Duration::from_millis(10)), DOORBELL_SUBMIT);
     }
 
     #[test]

@@ -91,10 +91,10 @@ pub struct TelemetryConfig {
     /// Spawn the sampler thread and retain time-series frames.
     pub enabled: bool,
     /// Sampling period. Defaults to 10 ms — the same value as the default
-    /// coordinator period, but deliberately *not* derived from it: when
-    /// the adaptive controller shortens the coordinator period at
-    /// runtime, the sampling cadence must hold still or time-series
-    /// (and BENCH) deltas stop being comparable across runs.
+    /// coordinator period, but deliberately *not* derived from it: runs
+    /// configured with different coordinator periods (BENCH sweeps, tests
+    /// that shorten it) must still sample at one cadence, or time-series
+    /// deltas stop being comparable across runs.
     pub tick: Duration,
     /// Frames retained in the bounded ring; older frames are evicted
     /// (and counted) once full. 4096 frames at 10 ms ≈ 40 s of history.
@@ -104,47 +104,6 @@ pub struct TelemetryConfig {
 impl Default for TelemetryConfig {
     fn default() -> Self {
         TelemetryConfig { enabled: false, tick: Duration::from_millis(10), capacity: 4096 }
-    }
-}
-
-/// Adaptive-knob controller (DESIGN §16.2): the coordinator auto-tunes
-/// `T_SLEEP`, its own period, and `steal_batch_limit` from the Eq. 1
-/// demand signal, inside the hard bounds below.
-///
-/// Disabled by default: with `enabled == false` every knob stays at its
-/// configured value and the controller adds zero work to the tick.
-///
-/// Safety floors are non-negotiable even when enabled: the adaptive
-/// period is clamped to `[period_floor, coordinator_period]`, so lease
-/// heartbeats (refreshed on the *configured* period) and
-/// [`RuntimeConfig::effective_lease_timeout`] margins are never violated
-/// by a controller decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdaptiveConfig {
-    /// Run the feedback controller each coordinator pass.
-    pub enabled: bool,
-    /// Hard floor for the adaptive coordinator period. The ceiling is the
-    /// configured `coordinator_period` itself — adapting only ever makes
-    /// the control plane *more* responsive, never lazier than configured.
-    pub period_floor: Duration,
-    /// Lower clamp for adaptive `T_SLEEP` (failed steals before sleep).
-    pub t_sleep_min: u32,
-    /// Upper clamp for adaptive `T_SLEEP`.
-    pub t_sleep_max: u32,
-    /// Upper clamp for the adaptive steal-batch limit (lower clamp is 1,
-    /// i.e. batching off).
-    pub batch_max: usize,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        AdaptiveConfig {
-            enabled: false,
-            period_floor: Duration::from_millis(1),
-            t_sleep_min: 4,
-            t_sleep_max: 4096,
-            batch_max: 64,
-        }
     }
 }
 
@@ -230,8 +189,6 @@ pub struct RuntimeConfig {
     /// only) to reproduce the pre-doorbell baseline, e.g. for BENCH_10's
     /// polling arm.
     pub event_driven: bool,
-    /// Adaptive knob controller (off by default; see [`AdaptiveConfig`]).
-    pub adaptive: AdaptiveConfig,
 }
 
 impl RuntimeConfig {
@@ -253,7 +210,6 @@ impl RuntimeConfig {
             telemetry: TelemetryConfig::default(),
             serve: ServeConfig::default(),
             event_driven: true,
-            adaptive: AdaptiveConfig::default(),
         }
     }
 
@@ -265,9 +221,8 @@ impl RuntimeConfig {
     }
 
     /// Absolute floor for the derived lease-expiry threshold. Leases are
-    /// heartbeat-refreshed on the *configured* coordinator period, but a
-    /// shortened period (explicitly, or adaptively via
-    /// [`AdaptiveConfig`]) must never shrink the expiry margin with it: a
+    /// heartbeat-refreshed once per coordinator period, but a short
+    /// configured period must not shrink the expiry margin with it: a
     /// briefly descheduled co-runner at a 1 ms period would otherwise be
     /// fenced after 3 ms of silence. Explicit
     /// [`RuntimeConfig::with_lease_timeout`] overrides bypass the floor —
@@ -332,42 +287,6 @@ impl RuntimeConfig {
     pub fn with_polling_only(mut self) -> Self {
         self.event_driven = false;
         self
-    }
-
-    /// Enables the adaptive knob controller with default bounds.
-    pub fn with_adaptive(mut self) -> Self {
-        self.adaptive.enabled = true;
-        self.validate_adaptive();
-        self
-    }
-
-    /// Enables the adaptive controller with explicit bounds.
-    pub fn with_adaptive_bounds(
-        mut self,
-        period_floor: Duration,
-        t_sleep_bounds: (u32, u32),
-        batch_max: usize,
-    ) -> Self {
-        self.adaptive = AdaptiveConfig {
-            enabled: true,
-            period_floor,
-            t_sleep_min: t_sleep_bounds.0,
-            t_sleep_max: t_sleep_bounds.1,
-            batch_max,
-        };
-        self.validate_adaptive();
-        self
-    }
-
-    fn validate_adaptive(&self) {
-        let a = &self.adaptive;
-        assert!(!a.period_floor.is_zero(), "adaptive period floor must be positive");
-        assert!(
-            a.period_floor <= self.coordinator_period,
-            "adaptive period floor exceeds the configured coordinator period"
-        );
-        assert!(a.t_sleep_min >= 1 && a.t_sleep_min <= a.t_sleep_max, "bad T_SLEEP bounds");
-        assert!(a.batch_max >= 1, "adaptive batch ceiling must be positive");
     }
 
     /// Enables serving mode with the default ring geometry.
@@ -457,10 +376,9 @@ mod tests {
 
     #[test]
     fn telemetry_tick_is_decoupled_from_the_coordinator_period() {
-        // Sampling cadence must hold still when the period changes —
-        // whether reconfigured here or adapted at runtime — or BENCH
-        // deltas stop being comparable across runs.
-        let mut c = RuntimeConfig::new(4, Policy::Dws).with_telemetry().with_adaptive();
+        // Sampling cadence must hold still when the period is
+        // reconfigured, or BENCH deltas stop being comparable across runs.
+        let mut c = RuntimeConfig::new(4, Policy::Dws).with_telemetry();
         let before = c.telemetry.tick;
         c.coordinator_period = Duration::from_millis(2);
         assert_eq!(c.telemetry.tick, before, "tick follows nothing but itself");
@@ -521,34 +439,8 @@ mod tests {
     fn event_driven_by_default_with_a_polling_escape_hatch() {
         let c = RuntimeConfig::new(4, Policy::Dws);
         assert!(c.event_driven);
-        assert!(!c.adaptive.enabled, "controller is opt-in");
         let c = c.with_polling_only();
         assert!(!c.event_driven);
-    }
-
-    #[test]
-    fn adaptive_builders_and_bounds() {
-        let c = RuntimeConfig::new(4, Policy::Dws).with_adaptive();
-        assert!(c.adaptive.enabled);
-        assert_eq!(c.adaptive.period_floor, Duration::from_millis(1));
-        let c = RuntimeConfig::new(4, Policy::Dws).with_adaptive_bounds(
-            Duration::from_millis(2),
-            (8, 256),
-            32,
-        );
-        assert_eq!(c.adaptive.t_sleep_min, 8);
-        assert_eq!(c.adaptive.t_sleep_max, 256);
-        assert_eq!(c.adaptive.batch_max, 32);
-    }
-
-    #[test]
-    #[should_panic(expected = "period floor exceeds")]
-    fn adaptive_floor_above_period_rejected() {
-        let _ = RuntimeConfig::new(4, Policy::Dws).with_adaptive_bounds(
-            Duration::from_millis(20),
-            (4, 64),
-            8,
-        );
     }
 
     #[test]

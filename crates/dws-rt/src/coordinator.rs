@@ -9,7 +9,6 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::adaptive::Controller;
 use crate::config::Policy;
 use crate::metrics::RtMetrics;
 use crate::registry::Registry;
@@ -19,26 +18,10 @@ use crate::telemetry::CoordSample;
 use crate::trace::{now_us, RtEvent, LANE_SHARED};
 use dws_core::policy::{eq1_wake_target, plan_wakes};
 
-/// What one coordinator pass observed — the adaptive controller's
-/// feedback signal (`queued`/`active` are the Eq. 1 inputs, `n_w` its
-/// output; the wakes delivered are published to telemetry, not returned).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct CoordPass {
-    pub(crate) queued: usize,
-    pub(crate) active: usize,
-    pub(crate) n_w: usize,
-}
-
-impl CoordPass {
-    /// A demand-met pass (demand satisfied, nothing to wake).
-    fn idle(queued: usize, active: usize) -> CoordPass {
-        CoordPass { queued, active, n_w: 0 }
-    }
-}
-
-/// One coordinator evaluation. Factored out of the loop for testing; the
-/// return value reports the pass for the controller and the tests.
-pub(crate) fn coordinate_once(reg: &Registry, rng: &VictimRng) -> CoordPass {
+/// One coordinator evaluation. Factored out of the loop for testing;
+/// returns the pass's Eq. 1 wake target `N_w` (the wakes delivered are
+/// published to telemetry, not returned).
+pub(crate) fn coordinate_once(reg: &Registry, rng: &VictimRng) -> usize {
     RtMetrics::bump(&reg.metrics.coordinator_runs);
     let tracing = reg.trace.enabled();
     // Observability gate for the early-return paths: the table supply scan
@@ -65,9 +48,6 @@ pub(crate) fn coordinate_once(reg: &Registry, rng: &VictimRng) -> CoordPass {
             planned_reclaim: planned.1 as u64,
             woken: woken as u64,
             decisions: 0, // the cell counts publishes itself
-            knob_t_sleep: u64::from(reg.knobs.t_sleep()),
-            knob_period_us: reg.knobs.period_us(),
-            knob_steal_batch: reg.knobs.steal_batch() as u64,
         });
     };
 
@@ -110,7 +90,7 @@ pub(crate) fn coordinate_once(reg: &Registry, rng: &VictimRng) -> CoordPass {
             }
             publish(n_b, n_a, n_f, n_r, 0, (0, 0), 0);
         }
-        return CoordPass::idle(0, reg.workers.len());
+        return 0;
     }
     let queued = reg.queued_jobs();
     let active = reg.workers.len().saturating_sub(n_sleeping);
@@ -132,7 +112,7 @@ pub(crate) fn coordinate_once(reg: &Registry, rng: &VictimRng) -> CoordPass {
             }
             publish(queued, active, n_f, n_r, 0, (0, 0), 0);
         }
-        return CoordPass::idle(queued, active);
+        return 0;
     }
 
     match reg.effective_policy {
@@ -190,7 +170,6 @@ pub(crate) fn coordinate_once(reg: &Registry, rng: &VictimRng) -> CoordPass {
                 reg.metrics.note_demand_met(now_us());
             }
             publish(queued, active, n_f, n_r, n_w, (plan.from_free, plan.from_reclaim), woken);
-            CoordPass { queued, active, n_w }
         }
         Policy::DwsNc => {
             if tracing {
@@ -210,10 +189,10 @@ pub(crate) fn coordinate_once(reg: &Registry, rng: &VictimRng) -> CoordPass {
                 .map(|w| reg.wake_worker(w))
                 .count();
             publish(queued, active, 0, 0, n_w, (0, 0), woken);
-            CoordPass { queued, active, n_w }
         }
-        _ => CoordPass { queued, active, n_w },
+        _ => {}
     }
+    n_w
 }
 
 /// The coordinator thread body: evaluate on every doorbell edge and at
@@ -224,42 +203,36 @@ pub(crate) fn coordinate_once(reg: &Registry, rng: &VictimRng) -> CoordPass {
 ///
 /// Under `Policy::Dws` the failure-model duties (DESIGN §10) — lease
 /// heartbeat, stall watchdog, zombie re-arm, health check, reaping expired
-/// co-runners — run on the *configured* period regardless of how often
-/// doorbells fire or how far the adaptive controller has shrunk the
-/// decision period, so the lease/heartbeat safety story is untouched by
-/// this PR's event-driven fast path.
+/// co-runners — run once per period however often doorbells fire, so the
+/// event-driven fast path never changes the lease/heartbeat cadence.
 pub(crate) fn coordinator_loop(reg: Arc<Registry>) {
     let rng = VictimRng::new(0xC0FF_EE00 ^ (reg.prog_id as u64 + 1).wrapping_mul(0x9E37_79B9));
-    let configured = reg.config.coordinator_period;
+    // Clamped to 1 µs so a zero period cannot spin the wait loop below.
+    let period = reg.config.coordinator_period.max(Duration::from_micros(1));
     let event_driven = reg.config.event_driven;
-    let mut controller = reg.config.adaptive.enabled.then(|| Controller::new(&reg.config));
     let shared_table = reg.effective_policy == Policy::Dws;
     let lease_timeout = reg.config.effective_lease_timeout();
-    // Watchdog: if a full tick (sleep + work) takes more than 3× the
-    // configured period, this coordinator itself is the slow party —
-    // exactly the "slow-but-alive owner" the lease epoch protects, so
-    // count it. Configured, not adaptive: a controller that legitimately
-    // shrank the period must not re-arm the watchdog against itself.
-    let stall_after = configured * 3;
+    // Watchdog: a tick (wait + work) is at most one period plus a pass —
+    // shorter when a doorbell cuts the wait. One that takes more than 3×
+    // the period means this coordinator itself is the slow party, exactly
+    // the "slow-but-alive owner" the lease epoch protects, so count it.
+    let stall_after = period * 3;
     let mut last_tick = Instant::now();
-    // Chore deadline: heartbeat/reap cadence is pinned to the configured
-    // period even when doorbells run decision passes far more often.
+    // Chore deadline: heartbeat/reap cadence is pinned to the period even
+    // when doorbells run decision passes far more often.
     let mut next_chores = Instant::now();
     // Edge-detect for `zombies_fenced`: one fence discovery counts once,
     // however many ticks recovery takes.
     let mut was_zombie = false;
     'outer: while !reg.shutdown.load(Ordering::Acquire) {
-        // The decision cadence follows the live knob (== configured unless
-        // the adaptive controller retuned it).
-        let period = reg.knobs.period();
         let chunk = period.min(Duration::from_millis(50));
         let mut slept = Duration::ZERO;
         while slept < period {
             let step = chunk.min(period - slept);
             if event_driven {
-                // Edge-triggered wait: a release/surplus/demand/submit
-                // ring pops us out immediately; `step` elapsing is the
-                // polling fallback heartbeat.
+                // Edge-triggered wait: a release/demand/submit ring pops
+                // us out immediately; `step` elapsing is the polling
+                // fallback heartbeat.
                 let rung = reg.table.wait_doorbell(reg.prog_id, step);
                 if reg.shutdown.load(Ordering::Acquire) {
                     break 'outer;
@@ -281,7 +254,7 @@ pub(crate) fn coordinator_loop(reg: Arc<Registry>) {
         }
         last_tick = Instant::now();
         if shared_table && Instant::now() >= next_chores {
-            next_chores = Instant::now() + configured;
+            next_chores = Instant::now() + period;
             // The heartbeat self-checks the lease first: a coordinator
             // resuming from a long SIGSTOP discovers right here that it
             // was fenced/reaped while stalled.
@@ -319,9 +292,6 @@ pub(crate) fn coordinator_loop(reg: Arc<Registry>) {
         // submit doorbell this is the admission fast path — request →
         // injector without waiting out a polling period.
         let _ = reg.drain_submissions();
-        let pass = coordinate_once(&reg, &rng);
-        if let Some(ctl) = controller.as_mut() {
-            ctl.update(&reg.knobs, pass.queued, pass.active, pass.n_w);
-        }
+        coordinate_once(&reg, &rng);
     }
 }

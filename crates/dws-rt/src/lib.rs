@@ -54,7 +54,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-mod adaptive;
 pub mod affinity;
 pub mod alloc_table;
 mod config;
@@ -78,11 +77,9 @@ pub mod trace;
 pub use alloc_table::{
     equipartition_home, jain_fairness, reap_expired, AllocLedger, CoreTable, Doorbell,
     InProcessTable, LedgerSnapshot, LedgerTable, ReapPass, TracedTable, DOORBELL_DEMAND,
-    DOORBELL_RELEASE, DOORBELL_SHUTDOWN, DOORBELL_SUBMIT, DOORBELL_SURPLUS,
+    DOORBELL_RELEASE, DOORBELL_SHUTDOWN, DOORBELL_SUBMIT,
 };
-pub use config::{
-    AdaptiveConfig, Policy, RuntimeConfig, ServeConfig, TelemetryConfig, TraceConfig,
-};
+pub use config::{Policy, RuntimeConfig, ServeConfig, TelemetryConfig, TraceConfig};
 pub use dws_core::policy::{eq1_wake_target, plan_wakes, WakePlan};
 pub use dws_deque::{Request, SubmitError, SubmitRing, TaskId};
 pub use join::join;

@@ -96,7 +96,7 @@ impl HistogramSnapshot {
     }
 
     /// Approximate `q`-quantile in nanoseconds (upper bucket bound of the
-    /// sample at rank `q·N`), or `None` when empty. `q` clamped to [0,1].
+    /// sample at rank `q·N`), or `None` when empty. `q` clamped to `[0, 1]`.
     pub fn quantile_ns(&self, q: f64) -> Option<u64> {
         let total = self.count();
         if total == 0 {

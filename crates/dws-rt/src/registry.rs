@@ -15,7 +15,6 @@ use dws_deque::{
     deque, Injector, Request, Steal, Stealer, SubmitError, SubmitRing, TaskId, Worker as Deque,
 };
 
-use crate::adaptive::Knobs;
 use crate::affinity;
 use crate::alloc_table::{
     CoreTable, InProcessTable, LedgerTable, DOORBELL_DEMAND, DOORBELL_RELEASE, DOORBELL_SHUTDOWN,
@@ -78,10 +77,6 @@ pub(crate) struct Registry {
     /// Serving mode: submission ring + request handler (None unless built
     /// via [`Runtime::serve`] / [`Runtime::serve_with_table`]).
     pub(crate) serving: Option<ServingState>,
-    /// Live knob values (`T_SLEEP`, coordinator period, steal-batch
-    /// limit): equal to the configured values unless the adaptive
-    /// controller retunes them (DESIGN §16.2).
-    pub(crate) knobs: Knobs,
     /// Workers parked in [`Registry::park_worker`] right now. Counted
     /// after the sleeper released its core, so `sleepers == workers`
     /// means every core this program held is back in the table. One
@@ -444,7 +439,6 @@ impl Runtime {
             };
             ServingState::new(owned, handler)
         });
-        let knobs = Knobs::from_config(&config);
         let registry = Arc::new(Registry {
             config,
             effective_policy,
@@ -460,7 +454,6 @@ impl Runtime {
             detached: AtomicUsize::new(0),
             external_seq: AtomicU64::new(0),
             serving,
-            knobs,
             sleepers: AtomicUsize::new(0),
             demand_edge: AtomicUsize::new(EDGE_ARMED),
         });
@@ -708,15 +701,6 @@ impl Runtime {
         res
     }
 
-    /// The live adaptive knob values — `(T_SLEEP, coordinator period,
-    /// steal-batch limit)`. Equal to the configured constants unless
-    /// [`crate::AdaptiveConfig`] is enabled and the controller has retuned
-    /// them (observability surface for `dws-top` and the benches).
-    pub fn knob_values(&self) -> (u32, Duration, usize) {
-        let k = &self.registry.knobs;
-        (k.t_sleep(), k.period(), k.steal_batch())
-    }
-
     /// One manual drain pass of the submission ring (tests, pumping
     /// without waiting out a coordinator period). Returns the number of
     /// requests admitted.
@@ -912,10 +896,7 @@ impl WorkerThread {
                     std::thread::yield_now();
                 }
                 Policy::Dws | Policy::DwsNc => {
-                    // The knob read, not the config: T_SLEEP may have been
-                    // retuned by the adaptive controller (one relaxed load
-                    // either way).
-                    if failed_steals > reg.knobs.t_sleep() {
+                    if failed_steals > reg.config.t_sleep {
                         failed_steals = 0;
                         self.go_to_sleep(false);
                     } else {
@@ -1042,10 +1023,10 @@ impl WorkerThread {
             return StealOutcome::Job(job);
         }
         // Bulk injector drain: one lock acquisition moves a chunk of
-        // injected work (ceil-half, capped by the live steal-batch knob) —
-        // the surplus parks in our own deque, where it is popped lock-free
-        // next round and remains stealable by siblings.
-        let limit = self.registry.knobs.steal_batch();
+        // injected work (ceil-half, capped by `steal_batch_limit`) — the
+        // surplus parks in our own deque, where it is popped lock-free next
+        // round and remains stealable by siblings.
+        let limit = self.registry.config.steal_batch_limit;
         if let Some(job) = self.registry.injector.steal_batch_and_pop(&self.deque, limit) {
             if !self.deque.is_empty() {
                 self.registry.wake_one_for_surplus();
@@ -1093,7 +1074,7 @@ impl WorkerThread {
         }
         let victim = pick(n, self.index);
         let stealer = &reg.workers[victim].stealer;
-        let batch_limit = reg.knobs.steal_batch();
+        let batch_limit = reg.config.steal_batch_limit;
         let batch = batch_limit > 1 && stealer.len() >= 2;
         // Latency timing and per-attempt events only while tracing: the
         // disabled hot path must not take timestamps.
@@ -1349,7 +1330,6 @@ mod tests {
             });
         }
         let config = RuntimeConfig::new(n, policy);
-        let knobs = Knobs::from_config(&config);
         let programs_table = InProcessTable::new(n, programs);
         let registry = Arc::new(Registry {
             effective_policy: config.policy,
@@ -1366,7 +1346,6 @@ mod tests {
             detached: AtomicUsize::new(0),
             external_seq: AtomicU64::new(0),
             serving: None,
-            knobs,
             sleepers: AtomicUsize::new(0),
             demand_edge: AtomicUsize::new(EDGE_ARMED),
         });
@@ -1512,17 +1491,17 @@ mod tests {
 
         // The pass finds nothing queued: a false alarm. The edge stays
         // spent until the pass after it.
-        assert_eq!(coordinate_once(&reg, &rng).n_w, 0);
+        assert_eq!(coordinate_once(&reg, &rng), 0);
         reg.demand_rose(1, 1);
         assert_eq!(rings(), 1, "no ring between a false alarm and the next pass");
-        assert_eq!(coordinate_once(&reg, &rng).n_w, 0);
+        assert_eq!(coordinate_once(&reg, &rng), 0);
         reg.demand_rose(1, 1);
         assert_eq!(rings(), 2, "the next pass re-armed it");
 
         // A ring answered with a grant re-arms at once; with the core now
         // ours (wake in flight) there is nothing left to ring for.
         deques[0].push(noop_job());
-        assert_eq!(coordinate_once(&reg, &rng).n_w, 1);
+        assert_eq!(coordinate_once(&reg, &rng), 1);
         assert_eq!(reg.table.current(1), Some(0), "the pass granted the free core");
         parked.join().unwrap();
         let reg2 = Arc::clone(&reg);

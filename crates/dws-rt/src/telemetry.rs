@@ -1,11 +1,11 @@
 //! Live telemetry: a low-overhead time-series sampler over the runtime.
 //!
-//! PR 1's tracing is post-mortem — rings are dumped after the run ends.
-//! This module adds the *while it happens* view: a sampler thread
-//! snapshots the per-worker metric shards, the core-allocation table and
-//! the coordinator's latest Eq. 1 inputs every [`TelemetryConfig::tick`]
-//! (a fixed sampling cadence, deliberately independent of the — possibly
-//! adaptive — coordinator period) into a bounded ring of
+//! Tracing ([`crate::trace`]) is post-mortem — rings are dumped after the
+//! run ends. This module adds the *while it happens* view: a sampler
+//! thread snapshots the per-worker metric shards, the core-allocation table
+//! and the coordinator's latest Eq. 1 inputs every
+//! [`crate::TelemetryConfig::tick`] (a fixed sampling cadence, deliberately
+//! independent of the configured coordinator period) into a bounded ring of
 //! [`TelemetryFrame`]s. Frames yield per-core occupancy
 //! timelines (who owns each core over time, reclaims, sleeps) and
 //! *rolling* steal/wake/reclaim latency percentiles (percentiles over the
@@ -62,9 +62,6 @@ pub(crate) struct DecisionCell {
     planned_reclaim: AtomicU64,
     woken: AtomicU64,
     decisions: AtomicU64,
-    knob_t_sleep: AtomicU64,
-    knob_period_us: AtomicU64,
-    knob_steal_batch: AtomicU64,
 }
 
 impl DecisionCell {
@@ -80,9 +77,6 @@ impl DecisionCell {
         self.planned_free.store(d.planned_free, Ordering::Relaxed);
         self.planned_reclaim.store(d.planned_reclaim, Ordering::Relaxed);
         self.woken.store(d.woken, Ordering::Relaxed);
-        self.knob_t_sleep.store(d.knob_t_sleep, Ordering::Relaxed);
-        self.knob_period_us.store(d.knob_period_us, Ordering::Relaxed);
-        self.knob_steal_batch.store(d.knob_steal_batch, Ordering::Relaxed);
         self.decisions.fetch_add(1, Ordering::Relaxed);
         self.seq.fetch_add(1, Ordering::AcqRel); // even: published
     }
@@ -105,9 +99,6 @@ impl DecisionCell {
                 planned_reclaim: self.planned_reclaim.load(Ordering::Relaxed),
                 woken: self.woken.load(Ordering::Relaxed),
                 decisions: self.decisions.load(Ordering::Relaxed),
-                knob_t_sleep: self.knob_t_sleep.load(Ordering::Relaxed),
-                knob_period_us: self.knob_period_us.load(Ordering::Relaxed),
-                knob_steal_batch: self.knob_steal_batch.load(Ordering::Relaxed),
             };
             if self.seq.load(Ordering::Acquire) == s1 {
                 return d;
@@ -573,7 +564,7 @@ pub fn render_prometheus(frames: &[(String, TelemetryFrame)]) -> String {
         }
     }
 
-    let coords: [CoordMetric; 11] = [
+    let coords: [CoordMetric; 8] = [
         ("dws_coord_n_b", "Queued jobs observed by the coordinator (Eq. 1 N_b).", |c| c.n_b),
         ("dws_coord_n_a", "Active workers observed (Eq. 1 N_a).", |c| c.n_a),
         ("dws_coord_n_f", "Free cores observed (N_f).", |c| c.n_f),
@@ -582,11 +573,6 @@ pub fn render_prometheus(frames: &[(String, TelemetryFrame)]) -> String {
         ("dws_coord_planned_free", "Cores the plan takes from the free pool.", |c| c.planned_free),
         ("dws_coord_planned_reclaim", "Cores the plan reclaims.", |c| c.planned_reclaim),
         ("dws_coord_woken", "Wakes actually delivered by the last decision.", |c| c.woken),
-        ("dws_knob_t_sleep", "Live T_SLEEP knob (failed steals before sleep).", |c| c.knob_t_sleep),
-        ("dws_knob_period_us", "Live coordinator decision period knob, microseconds.", |c| {
-            c.knob_period_us
-        }),
-        ("dws_knob_steal_batch", "Live steal-batch limit knob.", |c| c.knob_steal_batch),
     ];
     for (name, help, get) in coords {
         w.header(name, help, "gauge");

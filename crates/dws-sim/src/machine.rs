@@ -801,11 +801,6 @@ impl Simulator {
                             planned_reclaim: decision.reclaim.len() as u64,
                             woken,
                             decisions: 0, // running count kept separately
-                            // No adaptive controller in simulation: the
-                            // knob gauges report the configured constants.
-                            knob_t_sleep: u64::from(self.programs[p].sched.t_sleep),
-                            knob_period_us: self.programs[p].sched.coord_period_us,
-                            knob_steal_batch: self.programs[p].sched.steal_batch_limit as u64,
                         };
                     }
                 }
@@ -847,9 +842,6 @@ impl Simulator {
                             planned_reclaim: 0,
                             woken,
                             decisions: 0,
-                            knob_t_sleep: u64::from(self.programs[p].sched.t_sleep),
-                            knob_period_us: self.programs[p].sched.coord_period_us,
-                            knob_steal_batch: self.programs[p].sched.steal_batch_limit as u64,
                         };
                     }
                 }
