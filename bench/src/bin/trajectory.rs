@@ -1,74 +1,43 @@
-//! `bench-trajectory` — reproducible co-run benchmark emitting
-//! `BENCH_3.json`: throughput and makespan of a two-program DWS co-run,
-//! steal / wake-to-first-task latency percentiles from a traced run, and
-//! the telemetry sampler's overhead delta (same workload with the sampler
-//! off vs. on, min-of-`reps` to shed scheduler noise).
+//! `bench-trajectory` — emits and checks the committed `BENCH_N.json`
+//! documents at the repo root.
 //!
-//! With `--batching` it instead emits `BENCH_5.json`: a two-program
-//! co-run of a steal-bound flat workload (each round spawns `fan` tiny
-//! sequential tasks into one worker's deque, so work spreads only by
-//! stealing) with batched stealing off (`steal_batch_limit = 1`) vs on,
-//! reporting the makespan delta, failed-steal delta, and mean steal
-//! batch size (min-of-`reps` per mode, modes alternated).
+//! Two modes still measure:
 //!
-//! With `--task-trace` it instead emits `BENCH_6.json`: a two-program
-//! co-run of the flat workload at a µs-scale task grain with
-//! task-lifecycle tracing off (`RuntimeConfig` without a trace ring) vs
-//! on, reporting the tracing-overhead delta against its 3% makespan
-//! budget plus per-program task-sojourn (spawn → exec-begin)
-//! p50/p99/p999 from the traced run.
+//! * `--fairness` emits `BENCH_8.json`: a program-count sweep (2 → 32 DWS
+//!   programs, half greedy and half bursty) on a simulated 64-core
+//!   machine, reporting per point the settled per-program core-time
+//!   integrals from the allocation ledger, Jain's fairness index over
+//!   them, and demand-satisfaction (alloc/release) latency percentiles.
+//!   Each point asserts the ledger's conservation law — attributed plus
+//!   free core-µs equals `cores × elapsed` exactly — and the schema
+//!   validator re-checks it on the committed document.
+//! * `--control-plane` emits `BENCH_10.json`: the event-driven control
+//!   plane's two-arm comparison at a deliberately *long* coordinator
+//!   period — `polling` (edge-triggered wakes off: submissions wait in
+//!   the ring for the next tick) and `doorbell` (every submit / release /
+//!   demand edge rings the coordinator awake). Each arm measures
+//!   wake-to-first-task end to end (idle runtime, one probe request,
+//!   submit → executed) and the serving request-sojourn tail under
+//!   open-loop load; the headline block records whether the doorbell beat
+//!   the polling baseline on wake p99 and whether the request p99 escaped
+//!   the coordinator-period floor.
 //!
-//! With `--serving` it instead emits `BENCH_7.json`: two *serving*
-//! programs co-run over a shared table, each fed by an open-loop
-//! generator (bursty MMPP arrivals × bounded-Pareto demands, the
-//! simulator's seeded samplers) through its submission ring. A
-//! T_SLEEP × coordinator-period sweep reports end-to-end request
-//! sojourn (client submit → exec-begin, ring residence included)
-//! p50/p99/p999 per program at each point — the throughput-vs-tail
-//! trade — plus the lifecycle-tracing off/on overhead delta against the
-//! same 3% makespan budget.
-//!
-//! With `--fairness` it instead emits `BENCH_8.json`: the first
-//! *many-program* trajectory — a program-count sweep (2 → 32 DWS
-//! programs, half greedy and half bursty) on a simulated 64-core
-//! machine, reporting per point the settled per-program core-time
-//! integrals from the allocation ledger, Jain's fairness index over
-//! them, and demand-satisfaction (alloc/release) latency percentiles.
-//! Each point asserts the ledger's conservation law — attributed plus
-//! free core-µs equals `cores × elapsed` exactly — and the schema
-//! validator re-checks it on the committed document.
-//!
-//! With `--control-plane` it instead emits `BENCH_10.json`: the
-//! event-driven control plane's two-arm comparison at a deliberately
-//! *long* coordinator period — `polling` (edge-triggered wakes off, the
-//! pre-doorbell behaviour: submissions wait in the ring for the next
-//! tick) and `doorbell` (every submit / release / demand edge rings the
-//! coordinator awake). Each arm measures wake-to-first-task end to end
-//! (idle runtime, one probe request, submit → executed) and the serving
-//! request-sojourn tail under open-loop load; the headline block records
-//! whether the doorbell beat the polling baseline on wake p99 and
-//! whether the request p99 escaped the coordinator-period floor.
+//! `BENCH_9.json` comes from `chaos --emit-bench`. `BENCH_3`, `BENCH_5` and
+//! `BENCH_6` are frozen: their generators are retired (last present at
+//! commit `98d63dc`) and the documents are only validated, against
+//! [`dws_bench::FROZEN`].
 //!
 //! ```text
-//! bench-trajectory [--batching | --task-trace | --serving | --fairness
-//!                   | --control-plane]
-//!                  [--fast] [--cores N] [--reps N] [--batch-limit N]
-//!                  [--out PATH] [--check PATH] [--summary [DIR]]
+//! bench-trajectory (--fairness | --control-plane) [--fast] [--cores N] [--out PATH]
+//! bench-trajectory --check PATH
+//! bench-trajectory --summary [DIR]
 //! ```
 //!
-//! * `--batching` — run the batching off/on comparison (`BENCH_5.json`);
-//! * `--task-trace` — run the tracing off/on comparison (`BENCH_6.json`);
-//! * `--serving` — run the open-loop serving sweep (`BENCH_7.json`);
-//! * `--fairness` — run the simulated fairness sweep (`BENCH_8.json`);
-//! * `--control-plane` — run the polling vs doorbell comparison
-//!   (`BENCH_10.json`);
 //! * `--fast` — smaller workload for CI smoke runs;
-//! * `--cores N` / `--reps N` / `--batch-limit N` — override the workload
-//!   shape for probing (the emitted config records what actually ran);
-//! * `--out PATH` — where to write the JSON (default `BENCH_3.json`,
-//!   `BENCH_5.json` with `--batching`, `BENCH_6.json` with
-//!   `--task-trace`, `BENCH_7.json` with `--serving`, `BENCH_8.json`
-//!   with `--fairness`);
+//! * `--cores N` — override the core count (the emitted config records
+//!   what actually ran);
+//! * `--out PATH` — where to write the JSON (default `BENCH_8.json` with
+//!   `--fairness`, `BENCH_10.json` with `--control-plane`);
 //! * `--check PATH` — validate an existing document and exit (no run);
 //!   the schema is picked by the document's `bench` field;
 //! * `--summary [DIR]` — validate every committed `BENCH_N.json` under
@@ -77,441 +46,36 @@
 //!   (e.g. `BENCH_4`) is not an error, only present-but-invalid
 //!   documents fail the summary.
 //!
-//! The emitted document always validates against
-//! [`dws_bench::validate_bench_value`] /
-//! [`dws_bench::validate_bench5_value`] /
-//! [`dws_bench::validate_bench6_value`] /
-//! [`dws_bench::validate_bench7_value`] /
-//! [`dws_bench::validate_bench8_value`]; the driver exits nonzero if its
-//! own output ever fails the schema.
+//! With no mode the usage is printed and the exit status is 2. An
+//! emitted document always validates against its own schema; the run
+//! exits nonzero if its output ever fails it.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dws_bench::{
-    validate_bench10_value, validate_bench5_value, validate_bench6_value, validate_bench7_value,
-    validate_bench8_value, validate_bench9_value, validate_bench_value, BENCH_SCHEMA_VERSION,
+    validate_bench10_value, validate_bench8_value, validate_bench9_value, validate_frozen,
+    BENCH_SCHEMA_VERSION, FROZEN,
 };
 use dws_harness::{demand_handler, offer_load, LoadSpec, LoadStats};
 use dws_rt::{
-    jain_fairness, join, serve, CoreTable, InProcessTable, LedgerTable, MetricsSnapshot, Policy,
-    Runtime, RuntimeConfig,
+    jain_fairness, CoreTable, InProcessTable, LedgerTable, Policy, Runtime, RuntimeConfig,
 };
 use dws_sim::{ArrivalProcess, BoundedPareto};
 use serde::value::Value;
 
-const TELEMETRY_TICK_MS: u64 = 10;
-
-/// Batch limit of the "on" mode — the runtime default, spelled out so the
-/// bench document records exactly what was measured.
-const BATCH_LIMIT_ON: usize = 8;
-
-/// Per-worker trace-ring capacity of the `--task-trace` "on" mode.
+/// Per-worker trace-ring capacity of the `--control-plane` serving runs.
 const TRACE_CAPACITY: usize = 1 << 16;
 
-/// Makespan-overhead budget of lifecycle tracing (percent).
-const TRACE_BUDGET_PCT: f64 = 3.0;
-
-fn fib(n: u64) -> u64 {
-    if n < 2 {
-        return n;
-    }
-    let (a, b) = join(|| fib(n - 1), || fib(n - 2));
-    a + b
-}
-
-/// Sequential fib — the flat-workload task body (no spawns inside).
-fn fib_seq(n: u64) -> u64 {
-    if n < 2 {
-        n
-    } else {
-        fib_seq(n - 1) + fib_seq(n - 2)
-    }
-}
-
-struct Params {
-    cores: usize,
-    fib_n: u64,
-    iters: usize,
-    /// `0` — the recursive-`fib` workload (`block_on(fib(fib_n))` per
-    /// iter): work spreads itself through `join`, steals are rare, task
-    /// bodies dominate. `> 0` — the steal-bound flat workload: each iter
-    /// spawns `fan` sequential `fib_seq(fib_n)` tasks into the producing
-    /// worker's deque, so work spreads *only* by stealing and the steal
-    /// path's cost sits on the critical path. The batching comparison
-    /// uses the flat shape — it is what batched stealing exists for.
-    fan: usize,
-    reps: usize,
-    fast: bool,
-}
-
-struct ProgStats {
-    label: String,
-    metrics: MetricsSnapshot,
-    frames: usize,
-    frames_evicted: u64,
-    /// Task sojourn (spawn → exec-begin) of this program's workers;
-    /// empty unless the run traced.
-    sojourn: dws_rt::HistogramSnapshot,
-}
-
-struct RunStats {
-    makespan: Duration,
-    jobs: u64,
-    programs: Vec<ProgStats>,
-    steal_p50_ns: u64,
-    steal_p99_ns: u64,
-    wake_p50_ns: u64,
-    wake_p99_ns: u64,
-    endpoint_ok: bool,
-}
-
-/// One co-run: both programs execute `iters` repetitions of `fib(fib_n)`
-/// concurrently over a shared table; the makespan is the wall time until
-/// the slower one finishes. `batch_limit` is the steal batch limit both
-/// programs run with (`1` = batching off).
-fn corun(
-    p: &Params,
-    batch_limit: usize,
-    telemetry: bool,
-    tracing: bool,
-    probe_endpoint: bool,
-) -> RunStats {
-    let table: Arc<dyn CoreTable> =
-        Arc::new(LedgerTable::new(Arc::new(InProcessTable::new(p.cores, 2))));
-    let mk = || {
-        let mut cfg = RuntimeConfig::new(p.cores, Policy::Dws).with_steal_batch_limit(batch_limit);
-        if telemetry {
-            cfg =
-                cfg.with_telemetry().with_telemetry_tick(Duration::from_millis(TELEMETRY_TICK_MS));
-        }
-        if tracing {
-            cfg = cfg.with_tracing_capacity(TRACE_CAPACITY);
-        }
-        cfg.coordinator_period = Duration::from_millis(2);
-        cfg.sleep_timeout = Some(Duration::from_millis(5));
-        cfg
-    };
-    let p0 = Runtime::with_table(mk(), Arc::clone(&table), 0);
-    let p1 = Runtime::with_table(mk(), table, 1);
-
-    let server = probe_endpoint
-        .then(|| serve(vec![p0.telemetry("p0"), p1.telemetry("p1")], "127.0.0.1:0").ok())
-        .flatten();
-
-    let run_prog = |rt: &Runtime| {
-        for _ in 0..p.iters {
-            if p.fan > 0 {
-                rt.scope(|s| {
-                    for _ in 0..p.fan {
-                        s.spawn(|| {
-                            std::hint::black_box(fib_seq(p.fib_n));
-                        });
-                    }
-                });
-            } else {
-                rt.block_on(|| fib(p.fib_n));
-            }
-        }
-    };
-    let start = Instant::now();
-    let mut endpoint_ok = false;
-    std::thread::scope(|scope| {
-        let t0 = scope.spawn(|| run_prog(&p0));
-        let t1 = scope.spawn(|| run_prog(&p1));
-        if let Some(server) = &server {
-            endpoint_ok = probe_prometheus(server.addr());
-        }
-        t0.join().unwrap();
-        t1.join().unwrap();
-    });
-    let makespan = start.elapsed();
-
-    let collect = |rt: &Runtime, label: &str| {
-        let frames = if telemetry { rt.telemetry(label).frames() } else { Vec::new() };
-        ProgStats {
-            label: label.to_string(),
-            metrics: rt.metrics(),
-            frames: frames.len(),
-            frames_evicted: frames.last().map_or(0, |f| f.counters.frames_evicted),
-            sojourn: rt.histograms().task_sojourn,
-        }
-    };
-    let programs = vec![collect(&p0, "p0"), collect(&p1, "p1")];
-    let jobs = programs.iter().map(|s| s.metrics.jobs_executed).sum();
-
-    // Latency histograms fill while tracing; merge both programs.
-    let (h0, h1) = (p0.histograms(), p1.histograms());
-    let q = |a: &dws_rt::HistogramSnapshot, b: &dws_rt::HistogramSnapshot, quant: f64| {
-        let mut merged = *a;
-        merged.merge(b);
-        merged.quantile_ns(quant).unwrap_or(0)
-    };
-    RunStats {
-        makespan,
-        jobs,
-        programs,
-        steal_p50_ns: q(&h0.steal_latency, &h1.steal_latency, 0.5),
-        steal_p99_ns: q(&h0.steal_latency, &h1.steal_latency, 0.99),
-        wake_p50_ns: q(&h0.wake_to_first_task, &h1.wake_to_first_task, 0.5),
-        wake_p99_ns: q(&h0.wake_to_first_task, &h1.wake_to_first_task, 0.99),
-        endpoint_ok,
-    }
-}
-
-/// One plain-HTTP GET against the exposition endpoint; true when the
-/// response is a 200 with a recognizable Prometheus counter in the body.
-fn probe_prometheus(addr: std::net::SocketAddr) -> bool {
-    let Ok(mut stream) = TcpStream::connect(addr) else { return false };
-    if stream
-        .write_all(b"GET /metrics HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n\r\n")
-        .is_err()
-    {
-        return false;
-    }
-    let mut response = String::new();
-    let _ = stream.read_to_string(&mut response);
-    response.starts_with("HTTP/1.1 200")
-        && response.contains("# TYPE dws_jobs_executed_total counter")
-}
+const USAGE: &str = "usage: bench-trajectory (--fairness | --control-plane) [--fast] [--cores N] \
+                     [--out PATH]\n       bench-trajectory --check PATH\n       \
+                     bench-trajectory --summary [DIR]";
 
 fn obj(fields: Vec<(&str, Value)>) -> Value {
     Value::Object(fields.into_iter().map(|(k, v)| (String::from(k), v)).collect())
 }
 
-fn ms(d: Duration) -> Value {
-    Value::F64(d.as_secs_f64() * 1e3)
-}
-
-/// The `--batching` mode: the same two-program co-run with batched
-/// stealing off (`steal_batch_limit = 1`, the pre-batching behaviour) vs
-/// on (the default limit), alternated so slow drift hits both modes
-/// equally, min-of-`reps` per mode. Emits `BENCH_5.json`.
-fn run_batching(p: &Params, out: &str, batch_limit: usize) {
-    let describe = |tag: &str, rep: usize, r: &RunStats| {
-        let sum = |f: fn(&MetricsSnapshot) -> u64| -> u64 {
-            r.programs.iter().map(|s| f(&s.metrics)).sum()
-        };
-        eprintln!(
-            "rep {rep}: batching {tag} {:.1} ms  (steals {} ok / {} fail, {} tasks, \
-             sleeps {}, wakes {}, yields {})",
-            r.makespan.as_secs_f64() * 1e3,
-            sum(|m| m.steals_ok),
-            sum(|m| m.steals_failed),
-            sum(|m| m.tasks_stolen),
-            sum(|m| m.sleeps),
-            sum(|m| m.wakes),
-            sum(|m| m.yields),
-        );
-    };
-    let mut off_best: Option<RunStats> = None;
-    let mut on_best: Option<RunStats> = None;
-    for rep in 0..p.reps {
-        let off = corun(p, 1, false, false, false);
-        describe("off", rep, &off);
-        if off_best.as_ref().is_none_or(|b| off.makespan < b.makespan) {
-            off_best = Some(off);
-        }
-        let on = corun(p, batch_limit, false, false, false);
-        describe("on ", rep, &on);
-        if on_best.as_ref().is_none_or(|b| on.makespan < b.makespan) {
-            on_best = Some(on);
-        }
-    }
-    let off = off_best.expect("reps > 0");
-    let on = on_best.expect("reps > 0");
-    let total = |r: &RunStats, f: fn(&MetricsSnapshot) -> u64| -> u64 {
-        r.programs.iter().map(|s| f(&s.metrics)).sum()
-    };
-    let steals_ok_off = total(&off, |m| m.steals_ok);
-    let steals_ok_on = total(&on, |m| m.steals_ok);
-    let steals_failed_off = total(&off, |m| m.steals_failed);
-    let steals_failed_on = total(&on, |m| m.steals_failed);
-    let tasks_stolen_on = total(&on, |m| m.tasks_stolen);
-    let mean_batch_on =
-        if steals_ok_on == 0 { 0.0 } else { tasks_stolen_on as f64 / steals_ok_on as f64 };
-    let speedup_pct = (off.makespan.as_secs_f64() - on.makespan.as_secs_f64())
-        / off.makespan.as_secs_f64()
-        * 100.0;
-
-    let per_program: Vec<Value> = on
-        .programs
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            let m = &s.metrics;
-            obj(vec![
-                ("prog", Value::U64(i as u64)),
-                ("label", Value::String(s.label.clone())),
-                ("jobs", Value::U64(m.jobs_executed)),
-                ("steals_ok", Value::U64(m.steals_ok)),
-                ("steals_failed", Value::U64(m.steals_failed)),
-                ("tasks_stolen", Value::U64(m.tasks_stolen)),
-            ])
-        })
-        .collect();
-
-    let doc = obj(vec![
-        ("bench", Value::String("batched-stealing".into())),
-        ("schema_version", Value::U64(BENCH_SCHEMA_VERSION)),
-        ("pr", Value::U64(5)),
-        (
-            "config",
-            obj(vec![
-                ("cores", Value::U64(p.cores as u64)),
-                ("fib_n", Value::U64(p.fib_n)),
-                ("iters", Value::U64(p.iters as u64)),
-                ("reps", Value::U64(p.reps as u64)),
-                ("fan", Value::U64(p.fan as u64)),
-                ("steal_batch_limit", Value::U64(batch_limit as u64)),
-                ("fast", Value::Bool(p.fast)),
-            ]),
-        ),
-        (
-            "results",
-            obj(vec![
-                ("makespan_off_ms", ms(off.makespan)),
-                ("makespan_on_ms", ms(on.makespan)),
-                ("speedup_pct", Value::F64(speedup_pct)),
-                ("steals_ok_off", Value::U64(steals_ok_off)),
-                ("steals_ok_on", Value::U64(steals_ok_on)),
-                ("steals_failed_off", Value::U64(steals_failed_off)),
-                ("steals_failed_on", Value::U64(steals_failed_on)),
-                ("tasks_stolen_on", Value::U64(tasks_stolen_on)),
-                ("mean_batch_on", Value::F64(mean_batch_on)),
-                ("per_program", Value::Array(per_program)),
-            ]),
-        ),
-    ]);
-
-    if let Err(errors) = validate_bench5_value(&doc) {
-        eprintln!("generated document fails its own schema: {errors:?}");
-        std::process::exit(1);
-    }
-    let text = serde_json::to_string(&doc).expect("serialize bench document");
-    std::fs::write(out, format!("{text}\n")).expect("write bench document");
-    println!(
-        "wrote {out}: batching off {:.1} ms → on {:.1} ms ({speedup_pct:+.2}%), \
-         failed steals {steals_failed_off} → {steals_failed_on}, \
-         mean batch {mean_batch_on:.1} tasks ({steals_ok_on} ops moved {tasks_stolen_on})",
-        off.makespan.as_secs_f64() * 1e3,
-        on.makespan.as_secs_f64() * 1e3,
-    );
-}
-
-/// The `--task-trace` mode: the same two-program co-run with task
-/// lifecycle tracing off vs on, alternated so slow drift hits both modes
-/// equally, min-of-`reps` per mode. The traced run also yields the
-/// per-program task-sojourn percentiles the trace exists to measure.
-/// Emits `BENCH_6.json` and records whether the tracing overhead stayed
-/// within its [`TRACE_BUDGET_PCT`] makespan budget.
-fn run_task_trace(p: &Params, out: &str) {
-    let mut off_best: Option<Duration> = None;
-    let mut on_best: Option<RunStats> = None;
-    for rep in 0..p.reps {
-        let off = corun(p, BATCH_LIMIT_ON, false, false, false);
-        eprintln!("rep {rep}: tracing off {:.1} ms", off.makespan.as_secs_f64() * 1e3);
-        if off_best.is_none_or(|b| off.makespan < b) {
-            off_best = Some(off.makespan);
-        }
-        let on = corun(p, BATCH_LIMIT_ON, false, true, false);
-        eprintln!("rep {rep}: tracing on  {:.1} ms", on.makespan.as_secs_f64() * 1e3);
-        if on_best.as_ref().is_none_or(|b| on.makespan < b.makespan) {
-            on_best = Some(on);
-        }
-    }
-    let off_makespan = off_best.expect("reps > 0");
-    let on = on_best.expect("reps > 0");
-    let overhead_pct = (on.makespan.as_secs_f64() - off_makespan.as_secs_f64())
-        / off_makespan.as_secs_f64()
-        * 100.0;
-    let within_budget = overhead_pct <= TRACE_BUDGET_PCT;
-
-    let per_program: Vec<Value> = on
-        .programs
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            let q = |quant: f64| Value::U64(s.sojourn.quantile_ns(quant).unwrap_or(0));
-            obj(vec![
-                ("prog", Value::U64(i as u64)),
-                ("label", Value::String(s.label.clone())),
-                ("jobs", Value::U64(s.metrics.jobs_executed)),
-                ("sojourn_samples", Value::U64(s.sojourn.count())),
-                ("sojourn_p50_ns", q(0.5)),
-                ("sojourn_p99_ns", q(0.99)),
-                ("sojourn_p999_ns", q(0.999)),
-            ])
-        })
-        .collect();
-
-    let doc = obj(vec![
-        ("bench", Value::String("task-trace".into())),
-        ("schema_version", Value::U64(BENCH_SCHEMA_VERSION)),
-        ("pr", Value::U64(6)),
-        (
-            "config",
-            obj(vec![
-                ("cores", Value::U64(p.cores as u64)),
-                ("fib_n", Value::U64(p.fib_n)),
-                ("iters", Value::U64(p.iters as u64)),
-                ("reps", Value::U64(p.reps as u64)),
-                ("trace_capacity", Value::U64(TRACE_CAPACITY as u64)),
-                ("fast", Value::Bool(p.fast)),
-            ]),
-        ),
-        (
-            "results",
-            obj(vec![
-                ("makespan_off_ms", ms(off_makespan)),
-                ("makespan_on_ms", ms(on.makespan)),
-                ("overhead_pct", Value::F64(overhead_pct)),
-                ("budget_pct", Value::F64(TRACE_BUDGET_PCT)),
-                ("within_budget", Value::Bool(within_budget)),
-                ("per_program", Value::Array(per_program)),
-            ]),
-        ),
-    ]);
-
-    if let Err(errors) = validate_bench6_value(&doc) {
-        eprintln!("generated document fails its own schema: {errors:?}");
-        std::process::exit(1);
-    }
-    let text = serde_json::to_string(&doc).expect("serialize bench document");
-    std::fs::write(out, format!("{text}\n")).expect("write bench document");
-    let sojourn = &on.programs[0].sojourn;
-    println!(
-        "wrote {out}: tracing off {:.1} ms → on {:.1} ms ({overhead_pct:+.2}%, budget {TRACE_BUDGET_PCT}%, \
-         within_budget={within_budget}), p0 sojourn p50 {} ns p99 {} ns p999 {} ns ({} samples)",
-        off_makespan.as_secs_f64() * 1e3,
-        on.makespan.as_secs_f64() * 1e3,
-        sojourn.quantile_ns(0.5).unwrap_or(0),
-        sojourn.quantile_ns(0.99).unwrap_or(0),
-        sojourn.quantile_ns(0.999).unwrap_or(0),
-        sojourn.count(),
-    );
-    if !within_budget {
-        eprintln!("tracing overhead {overhead_pct:+.2}% exceeds the {TRACE_BUDGET_PCT}% budget");
-        // The fast smoke run is a schema/plumbing check on noisy shared
-        // runners, not a measurement — only the full run enforces the gate.
-        if !p.fast {
-            std::process::exit(1);
-        }
-    }
-}
-
-/// The T_SLEEP × coordinator-period grid the `--serving` mode sweeps
-/// (milliseconds). Short T_SLEEP wakes donated cores back quickly when a
-/// burst lands (good tail, more table churn); a long coordinator period
-/// amortizes coordination but leaves requests sitting in the submission
-/// ring for most of a period before they are even admitted (ring
-/// residence is part of the measured sojourn).
-const SERVE_SWEEP: &[(u64, u64)] = &[(1, 1), (1, 4), (5, 1), (5, 4)];
-
-/// The open-loop serving workload of the `--serving` mode.
-#[derive(Clone)]
+/// The open-loop serving workload of the `--control-plane` mode.
 struct ServeParams {
     cores: usize,
     /// Mean arrival rate per program, requests/s (delivered bursty).
@@ -526,7 +90,6 @@ struct ServeParams {
     ring_capacity: usize,
     drain_batch: usize,
     seed: u64,
-    reps: usize,
     fast: bool,
 }
 
@@ -538,204 +101,6 @@ struct ServeProgStats {
     load: LoadStats,
     admitted: u64,
     sojourn: dws_rt::HistogramSnapshot,
-}
-
-/// One serving co-run: two serving runtimes over a shared table, each
-/// fed by its own open-loop generator thread for `sp.duration`, then a
-/// drain tail until every accepted request has been admitted and
-/// executed (or a safety deadline lapses). The makespan spans generator
-/// start → drain-tail end, so a configuration that lets requests pool in
-/// the ring pays for it in makespan as well as in the sojourn tail.
-fn serve_corun(
-    sp: &ServeParams,
-    t_sleep: Duration,
-    period: Duration,
-    tracing: bool,
-) -> (Duration, Vec<ServeProgStats>) {
-    let table: Arc<dyn CoreTable> =
-        Arc::new(LedgerTable::new(Arc::new(InProcessTable::new(sp.cores, 2))));
-    let mk = || {
-        let mut cfg = RuntimeConfig::new(sp.cores, Policy::Dws)
-            .with_serving_geometry(sp.ring_capacity, sp.drain_batch);
-        if tracing {
-            cfg = cfg.with_tracing_capacity(TRACE_CAPACITY);
-        }
-        cfg.coordinator_period = period;
-        cfg.sleep_timeout = Some(t_sleep);
-        cfg
-    };
-    let p0 = Runtime::serve_with_table(mk(), Arc::clone(&table), 0, demand_handler());
-    let p1 = Runtime::serve_with_table(mk(), table, 1, demand_handler());
-
-    let spec = |seed: u64| LoadSpec {
-        arrivals: ArrivalProcess::bursty(sp.rate_per_sec, sp.burstiness),
-        demand: BoundedPareto::new(sp.demand_min_us, sp.demand_max_us, sp.demand_alpha),
-        seed,
-        duration: sp.duration,
-    };
-    let start = Instant::now();
-    let (l0, l1) = std::thread::scope(|scope| {
-        // Decorrelated seeds: two independent clients, not one mirrored
-        // schedule arriving at both rings in lockstep.
-        let g0 = scope.spawn(|| offer_load(&p0, &spec(sp.seed)));
-        let g1 = scope.spawn(|| offer_load(&p1, &spec(sp.seed ^ 0xB15B_05E5)));
-        (g0.join().unwrap(), g1.join().unwrap())
-    });
-    // Drain tail: the coordinators keep draining on their period; nudge
-    // them along and wait until nothing accepted is still in flight.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    for (rt, l) in [(&p0, &l0), (&p1, &l1)] {
-        loop {
-            rt.drain_submissions();
-            let m = rt.metrics();
-            let done = m.requests_admitted == l.submitted && m.jobs_executed >= m.requests_admitted;
-            if done || Instant::now() > deadline {
-                break;
-            }
-            std::thread::yield_now();
-        }
-    }
-    let makespan = start.elapsed();
-
-    let collect = |rt: &Runtime, label: &str, load: LoadStats| ServeProgStats {
-        label: label.to_string(),
-        load,
-        admitted: rt.metrics().requests_admitted,
-        sojourn: rt.histograms().request_sojourn,
-    };
-    (makespan, vec![collect(&p0, "p0", l0), collect(&p1, "p1", l1)])
-}
-
-/// The `--serving` mode: sweep [`SERVE_SWEEP`] with tracing on (the
-/// request-sojourn histogram only fills while tracing), reporting
-/// per-point throughput and per-program end-to-end request sojourn
-/// p50/p99/p999; then measure the tracing off/on makespan delta at the
-/// first sweep point (alternated, min-of-`reps`) against the
-/// [`TRACE_BUDGET_PCT`] budget. Emits `BENCH_7.json`.
-fn run_serving(sp: &ServeParams, out: &str) {
-    let mut sweep = Vec::new();
-    for &(ts_ms, cp_ms) in SERVE_SWEEP {
-        let (makespan, progs) =
-            serve_corun(sp, Duration::from_millis(ts_ms), Duration::from_millis(cp_ms), true);
-        let admitted: u64 = progs.iter().map(|s| s.admitted).sum();
-        let throughput = admitted as f64 / makespan.as_secs_f64();
-        let p99 = progs[0].sojourn.quantile_ns(0.99).unwrap_or(0) / 1_000;
-        eprintln!(
-            "sweep t_sleep={ts_ms}ms period={cp_ms}ms: {admitted} admitted in {:.1} ms \
-             ({throughput:.0} req/s), p0 request p99 {p99} µs",
-            makespan.as_secs_f64() * 1e3,
-        );
-        let per_program: Vec<Value> = progs
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let q = |quant: f64| Value::U64(s.sojourn.quantile_ns(quant).unwrap_or(0) / 1_000);
-                obj(vec![
-                    ("prog", Value::U64(i as u64)),
-                    ("label", Value::String(s.label.clone())),
-                    ("offered", Value::U64(s.load.offered())),
-                    ("submitted", Value::U64(s.load.submitted)),
-                    ("shed", Value::U64(s.load.shed)),
-                    ("fenced", Value::U64(s.load.fenced)),
-                    ("admitted", Value::U64(s.admitted)),
-                    ("request_p50_us", q(0.5)),
-                    ("request_p99_us", q(0.99)),
-                    ("request_p999_us", q(0.999)),
-                ])
-            })
-            .collect();
-        sweep.push(obj(vec![
-            ("t_sleep_ms", Value::U64(ts_ms)),
-            ("coordinator_period_ms", Value::U64(cp_ms)),
-            ("throughput_req_per_s", Value::F64(throughput)),
-            ("per_program", Value::Array(per_program)),
-        ]));
-    }
-
-    // Tracing overhead at the first sweep point, off/on alternated.
-    let (ts, cp) =
-        (Duration::from_millis(SERVE_SWEEP[0].0), Duration::from_millis(SERVE_SWEEP[0].1));
-    let mut off_best: Option<Duration> = None;
-    let mut on_best: Option<Duration> = None;
-    for rep in 0..sp.reps {
-        let (off, _) = serve_corun(sp, ts, cp, false);
-        eprintln!("rep {rep}: tracing off {:.1} ms", off.as_secs_f64() * 1e3);
-        if off_best.is_none_or(|b| off < b) {
-            off_best = Some(off);
-        }
-        let (on, _) = serve_corun(sp, ts, cp, true);
-        eprintln!("rep {rep}: tracing on  {:.1} ms", on.as_secs_f64() * 1e3);
-        if on_best.is_none_or(|b| on < b) {
-            on_best = Some(on);
-        }
-    }
-    let off_makespan = off_best.expect("reps > 0");
-    let on_makespan = on_best.expect("reps > 0");
-    let overhead_pct = (on_makespan.as_secs_f64() - off_makespan.as_secs_f64())
-        / off_makespan.as_secs_f64()
-        * 100.0;
-    let within_budget = overhead_pct <= TRACE_BUDGET_PCT;
-
-    let doc = obj(vec![
-        ("bench", Value::String("serving-tail".into())),
-        ("schema_version", Value::U64(BENCH_SCHEMA_VERSION)),
-        ("pr", Value::U64(7)),
-        (
-            "config",
-            obj(vec![
-                ("cores", Value::U64(sp.cores as u64)),
-                ("rate_per_sec", Value::F64(sp.rate_per_sec)),
-                ("burstiness", Value::F64(sp.burstiness)),
-                ("demand_min_us", Value::F64(sp.demand_min_us)),
-                ("demand_max_us", Value::F64(sp.demand_max_us)),
-                ("demand_alpha", Value::F64(sp.demand_alpha)),
-                ("duration_ms", Value::U64(sp.duration.as_millis() as u64)),
-                ("ring_capacity", Value::U64(sp.ring_capacity as u64)),
-                ("drain_batch", Value::U64(sp.drain_batch as u64)),
-                ("reps", Value::U64(sp.reps as u64)),
-                ("seed", Value::U64(sp.seed)),
-                ("fast", Value::Bool(sp.fast)),
-            ]),
-        ),
-        (
-            "results",
-            obj(vec![
-                ("sweep", Value::Array(sweep)),
-                (
-                    "trace_overhead",
-                    obj(vec![
-                        ("makespan_off_ms", ms(off_makespan)),
-                        ("makespan_on_ms", ms(on_makespan)),
-                        ("overhead_pct", Value::F64(overhead_pct)),
-                        ("budget_pct", Value::F64(TRACE_BUDGET_PCT)),
-                        ("within_budget", Value::Bool(within_budget)),
-                    ]),
-                ),
-            ]),
-        ),
-    ]);
-
-    if let Err(errors) = validate_bench7_value(&doc) {
-        eprintln!("generated document fails its own schema: {errors:?}");
-        std::process::exit(1);
-    }
-    let text = serde_json::to_string(&doc).expect("serialize bench document");
-    std::fs::write(out, format!("{text}\n")).expect("write bench document");
-    println!(
-        "wrote {out}: {} sweep point(s), tracing off {:.1} ms → on {:.1} ms \
-         ({overhead_pct:+.2}%, budget {TRACE_BUDGET_PCT}%, within_budget={within_budget})",
-        SERVE_SWEEP.len(),
-        off_makespan.as_secs_f64() * 1e3,
-        on_makespan.as_secs_f64() * 1e3,
-    );
-    if !within_budget {
-        eprintln!("tracing overhead {overhead_pct:+.2}% exceeds the {TRACE_BUDGET_PCT}% budget");
-        // The fast smoke run is a schema/plumbing check on noisy shared
-        // runners, not a measurement — only the full run enforces the gate.
-        if !sp.fast {
-            std::process::exit(1);
-        }
-    }
 }
 
 /// One arm of the `--control-plane` comparison.
@@ -754,7 +119,6 @@ const CP_ARMS: [ArmSpec; 2] = [
 /// Parameters of the `--control-plane` comparison: the serving workload
 /// plus the deliberately long coordinator period that gives polling a
 /// visible floor, and the idle-submit probe schedule.
-#[derive(Clone)]
 struct CpParams {
     sp: ServeParams,
     /// Coordinator period of every arm. Long on purpose: under polling
@@ -816,10 +180,10 @@ fn cp_wake_probe(cp: &CpParams, arm: &ArmSpec) -> Vec<u64> {
 }
 
 /// One serving co-run of an arm (both programs under the arm's config,
-/// tracing on so the request-sojourn histogram fills). Unlike
-/// [`serve_corun`], the drain tail does *not* nudge `drain_submissions`
-/// by hand — admission stays on the arm's own control plane, so a
-/// polling arm pays its period in the tail too. Returns the makespan,
+/// tracing on so the request-sojourn histogram fills). The drain tail
+/// does *not* nudge `drain_submissions` by hand — admission stays on the
+/// arm's own control plane, so a polling arm pays its period in the tail
+/// too. Returns the makespan,
 /// per-program stats and total doorbell wakes.
 fn cp_serve(cp: &CpParams, arm: &ArmSpec) -> (Duration, Vec<ServeProgStats>, u64) {
     let sp = &cp.sp;
@@ -1168,17 +532,16 @@ fn run_fairness(fp: &FairParams, out: &str) {
 /// typo'd kind must not silently validate against the wrong schema.
 fn validate_by_kind(doc: &Value) -> Result<(), Vec<String>> {
     match doc["bench"].as_str() {
-        Some("telemetry-trajectory") => validate_bench_value(doc),
-        Some("batched-stealing") => validate_bench5_value(doc),
-        Some("task-trace") => validate_bench6_value(doc),
-        Some("serving-tail") => validate_bench7_value(doc),
         Some("fairness-trajectory") => validate_bench8_value(doc),
         Some("chaos-mttr") => validate_bench9_value(doc),
         Some("control-plane") => validate_bench10_value(doc),
-        Some(other) => Err(vec![format!(
-            "unknown bench kind `{other}` (known: telemetry-trajectory, batched-stealing, \
-             task-trace, serving-tail, fairness-trajectory, chaos-mttr, control-plane)"
-        )]),
+        Some(kind) => match FROZEN.iter().find(|row| row.kind == kind) {
+            Some(row) => validate_frozen(row, doc),
+            None => Err(vec![format!(
+                "unknown bench kind `{kind}` (known: telemetry-trajectory, batched-stealing, \
+                 task-trace, fairness-trajectory, chaos-mttr, control-plane)"
+            )]),
+        },
         None => Err(vec!["document has no `bench` kind field".to_string()]),
     }
 }
@@ -1227,7 +590,9 @@ fn run_summary(dir: &str) {
         let kind = doc["bench"].as_str().unwrap_or("?").to_string();
         match validate_by_kind(&doc) {
             Ok(()) => {
-                println!("BENCH_{n}.json  {kind}: valid");
+                let frozen =
+                    if FROZEN.iter().any(|row| row.kind == kind) { " (frozen)" } else { "" };
+                println!("BENCH_{n}.json  {kind}: valid{frozen}");
                 validated.push(format!("BENCH_{n} ({kind})"));
             }
             Err(errors) => {
@@ -1254,24 +619,16 @@ fn run_summary(dir: &str) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut fast = false;
-    let mut batching = false;
-    let mut task_trace = false;
-    let mut serving = false;
     let mut fairness = false;
     let mut control_plane = false;
     let mut summary: Option<String> = None;
     let mut cores: Option<usize> = None;
-    let mut reps: Option<usize> = None;
-    let mut batch_limit: usize = BATCH_LIMIT_ON;
     let mut out: Option<String> = None;
     let mut check: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--fast" => fast = true,
-            "--batching" => batching = true,
-            "--task-trace" => task_trace = true,
-            "--serving" => serving = true,
             "--fairness" => fairness = true,
             "--control-plane" => control_plane = true,
             "--summary" => {
@@ -1291,21 +648,6 @@ fn main() {
                     args.get(i).expect("--cores needs a value").parse().expect("--cores: number"),
                 );
             }
-            "--reps" => {
-                i += 1;
-                reps = Some(
-                    args.get(i).expect("--reps needs a value").parse().expect("--reps: number"),
-                );
-            }
-            "--batch-limit" => {
-                i += 1;
-                batch_limit = args
-                    .get(i)
-                    .expect("--batch-limit needs a value")
-                    .parse()
-                    .expect("--batch-limit: number");
-                assert!(batch_limit > 1, "--batch-limit: need at least 2 to batch");
-            }
             "--out" => {
                 i += 1;
                 out = Some(args.get(i).expect("--out needs a path").clone());
@@ -1315,11 +657,8 @@ fn main() {
                 check = Some(args.get(i).expect("--check needs a path").clone());
             }
             other => {
-                panic!(
-                    "unknown flag {other}; known: --batching --task-trace --serving \
-                     --fairness --control-plane --fast --cores N --reps N --batch-limit N \
-                     --out PATH --check PATH --summary [DIR]"
-                )
+                eprintln!("unknown flag {other}\n{USAGE}");
+                std::process::exit(2);
             }
         }
         i += 1;
@@ -1349,16 +688,7 @@ fn main() {
         }
     }
 
-    assert!(
-        usize::from(batching)
-            + usize::from(task_trace)
-            + usize::from(serving)
-            + usize::from(fairness)
-            + usize::from(control_plane)
-            <= 1,
-        "--batching, --task-trace, --serving, --fairness and --control-plane are \
-         mutually exclusive"
-    );
+    assert!(!(fairness && control_plane), "--fairness and --control-plane are mutually exclusive");
     if control_plane {
         // A deliberately long coordinator period: under polling it floors
         // both the wake path and ring admission; under the doorbell it is
@@ -1378,7 +708,6 @@ fn main() {
                     ring_capacity: 1024,
                     drain_batch: 256,
                     seed: 10,
-                    reps: 1,
                     fast,
                 },
                 period: Duration::from_millis(20),
@@ -1399,7 +728,6 @@ fn main() {
                     ring_capacity: 1024,
                     drain_batch: 256,
                     seed: 10,
-                    reps: 1,
                     fast,
                 },
                 period: Duration::from_millis(40),
@@ -1438,222 +766,8 @@ fn main() {
         run_fairness(&fp, &out.unwrap_or_else(|| "BENCH_8.json".into()));
         return;
     }
-    if serving {
-        // Bursty open-loop load: calm stretches punctuated by 4× bursts,
-        // bounded-Pareto demands (~130 µs mean, heavy right tail). The
-        // long-run offered load sits well under capacity — the tail the
-        // sweep measures comes from the bursts, not saturation.
-        let mut sp = if fast {
-            ServeParams {
-                cores: 4,
-                rate_per_sec: 1_000.0,
-                burstiness: 4.0,
-                demand_min_us: 50.0,
-                demand_max_us: 1_000.0,
-                demand_alpha: 1.5,
-                duration: Duration::from_millis(200),
-                ring_capacity: 1024,
-                drain_batch: 256,
-                seed: 7,
-                reps: 2,
-                fast,
-            }
-        } else {
-            ServeParams {
-                cores: 4,
-                rate_per_sec: 3_000.0,
-                burstiness: 4.0,
-                demand_min_us: 50.0,
-                demand_max_us: 2_000.0,
-                demand_alpha: 1.5,
-                duration: Duration::from_millis(500),
-                ring_capacity: 1024,
-                drain_batch: 256,
-                seed: 7,
-                reps: 3,
-                fast,
-            }
-        };
-        if let Some(n) = cores {
-            assert!(n >= 2, "--cores: need at least one core per program");
-            sp.cores = n;
-        }
-        if let Some(n) = reps {
-            assert!(n >= 1, "--reps: need at least one repetition");
-            sp.reps = n;
-        }
-        // Warm-up (untimed): thread spawning, first-touch, ring paging.
-        let warmup = ServeParams { duration: Duration::from_millis(50), ..sp.clone() };
-        serve_corun(&warmup, Duration::from_millis(1), Duration::from_millis(1), false);
-        run_serving(&sp, &out.unwrap_or_else(|| "BENCH_7.json".into()));
-        return;
-    }
-    let mut p = if batching {
-        // Flat steal-bound workload (see `Params::fan`): `fib_n` is the
-        // *sequential* grain here (~µs per task), `iters` the rounds.
-        if fast {
-            Params { cores: 4, fib_n: 16, iters: 20, fan: 256, reps: 2, fast }
-        } else {
-            Params { cores: 4, fib_n: 18, iters: 90, fan: 512, reps: 5, fast }
-        }
-    } else if task_trace {
-        // Flat workload again, with a coarser sequential grain (tens of
-        // µs per task): lifecycle tracing costs a fixed ~0.5 µs per
-        // task, so the budget comparison needs realistic task bodies —
-        // against the ~100 ns tasks of the recursive-fib shape *any*
-        // per-task instrumentation blows the budget. The flat shape is
-        // also what sojourn exists to measure: tasks genuinely park in
-        // a deque before a worker reaches them.
-        if fast {
-            Params { cores: 4, fib_n: 20, iters: 20, fan: 256, reps: 2, fast }
-        } else {
-            Params { cores: 4, fib_n: 22, iters: 30, fan: 512, reps: 3, fast }
-        }
-    } else if fast {
-        Params { cores: 4, fib_n: 23, iters: 30, fan: 0, reps: 2, fast }
-    } else {
-        Params { cores: 4, fib_n: 27, iters: 30, fan: 0, reps: 3, fast }
-    };
-    if let Some(n) = cores {
-        assert!(n >= 2, "--cores: need at least one core per program");
-        p.cores = n;
-    }
-    if let Some(n) = reps {
-        assert!(n >= 1, "--reps: need at least one repetition");
-        p.reps = n;
-    }
-
-    // Warm-up (untimed): first-touch costs, thread spawning, page faults.
-    let warmup = Params { cores: p.cores, fib_n: p.fib_n, iters: 2, fan: p.fan, reps: 1, fast };
-    corun(&warmup, BATCH_LIMIT_ON, false, false, false);
-
-    if batching {
-        run_batching(&p, &out.unwrap_or_else(|| "BENCH_5.json".into()), batch_limit);
-        return;
-    }
-    if task_trace {
-        run_task_trace(&p, &out.unwrap_or_else(|| "BENCH_6.json".into()));
-        return;
-    }
-    let out = out.unwrap_or_else(|| "BENCH_3.json".into());
-
-    // Alternate off/on so slow drift hits both modes equally; min-of-reps
-    // sheds scheduler noise.
-    let mut off_best: Option<Duration> = None;
-    let mut on_best: Option<RunStats> = None;
-    for rep in 0..p.reps {
-        let off = corun(&p, BATCH_LIMIT_ON, false, false, false);
-        eprintln!("rep {rep}: telemetry off {:.1} ms", off.makespan.as_secs_f64() * 1e3);
-        if off_best.is_none_or(|b| off.makespan < b) {
-            off_best = Some(off.makespan);
-        }
-        let on = corun(&p, BATCH_LIMIT_ON, true, false, false);
-        eprintln!("rep {rep}: telemetry on  {:.1} ms", on.makespan.as_secs_f64() * 1e3);
-        if on_best.as_ref().is_none_or(|b| on.makespan < b.makespan) {
-            on_best = Some(on);
-        }
-    }
-    let off_makespan = off_best.expect("reps > 0");
-    let on = on_best.expect("reps > 0");
-    let overhead_pct = (on.makespan.as_secs_f64() - off_makespan.as_secs_f64())
-        / off_makespan.as_secs_f64()
-        * 100.0;
-
-    // Traced run: latency percentiles + live endpoint probe (excluded from
-    // the overhead comparison — tracing has its own cost).
-    let traced = corun(&p, BATCH_LIMIT_ON, true, true, true);
-
-    let per_program: Vec<Value> = on
-        .programs
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            let m = &s.metrics;
-            obj(vec![
-                ("prog", Value::U64(i as u64)),
-                ("label", Value::String(s.label.clone())),
-                ("jobs", Value::U64(m.jobs_executed)),
-                ("steals_ok", Value::U64(m.steals_ok)),
-                ("steals_failed", Value::U64(m.steals_failed)),
-                ("sleeps", Value::U64(m.sleeps)),
-                ("wakes", Value::U64(m.wakes)),
-                ("cores_acquired", Value::U64(m.cores_acquired)),
-                ("cores_reclaimed", Value::U64(m.cores_reclaimed)),
-                ("cores_released", Value::U64(m.cores_released)),
-                ("frames", Value::U64(s.frames as u64)),
-                ("frames_evicted", Value::U64(s.frames_evicted)),
-            ])
-        })
-        .collect();
-
-    let doc = obj(vec![
-        ("bench", Value::String("telemetry-trajectory".into())),
-        ("schema_version", Value::U64(BENCH_SCHEMA_VERSION)),
-        ("pr", Value::U64(3)),
-        (
-            "config",
-            obj(vec![
-                ("cores", Value::U64(p.cores as u64)),
-                ("fib_n", Value::U64(p.fib_n)),
-                ("iters", Value::U64(p.iters as u64)),
-                ("reps", Value::U64(p.reps as u64)),
-                ("telemetry_tick_ms", Value::U64(TELEMETRY_TICK_MS)),
-                ("fast", Value::Bool(p.fast)),
-            ]),
-        ),
-        (
-            "results",
-            obj(vec![
-                ("makespan_ms", ms(on.makespan)),
-                ("throughput_jobs_per_s", Value::F64(on.jobs as f64 / on.makespan.as_secs_f64())),
-                ("per_program", Value::Array(per_program)),
-                (
-                    "steal_latency_ns",
-                    obj(vec![
-                        ("p50", Value::U64(traced.steal_p50_ns)),
-                        ("p99", Value::U64(traced.steal_p99_ns)),
-                    ]),
-                ),
-                (
-                    "wake_to_first_task_ns",
-                    obj(vec![
-                        ("p50", Value::U64(traced.wake_p50_ns)),
-                        ("p99", Value::U64(traced.wake_p99_ns)),
-                    ]),
-                ),
-                (
-                    "telemetry",
-                    obj(vec![
-                        ("makespan_off_ms", ms(off_makespan)),
-                        ("makespan_on_ms", ms(on.makespan)),
-                        ("overhead_pct", Value::F64(overhead_pct)),
-                        ("frames", Value::U64(on.programs.iter().map(|s| s.frames as u64).sum())),
-                        (
-                            "frames_evicted",
-                            Value::U64(on.programs.iter().map(|s| s.frames_evicted).sum()),
-                        ),
-                        ("endpoint_ok", Value::Bool(traced.endpoint_ok)),
-                    ]),
-                ),
-            ]),
-        ),
-    ]);
-
-    if let Err(errors) = validate_bench_value(&doc) {
-        eprintln!("generated document fails its own schema: {errors:?}");
-        std::process::exit(1);
-    }
-    let text = serde_json::to_string(&doc).expect("serialize bench document");
-    std::fs::write(&out, format!("{text}\n")).expect("write bench document");
-    println!(
-        "wrote {out}: makespan {:.1} ms, throughput {:.0} jobs/s, telemetry overhead {overhead_pct:+.2}% \
-         (off {:.1} ms → on {:.1} ms), endpoint_ok={}",
-        on.makespan.as_secs_f64() * 1e3,
-        on.jobs as f64 / on.makespan.as_secs_f64(),
-        off_makespan.as_secs_f64() * 1e3,
-        on.makespan.as_secs_f64() * 1e3,
-        traced.endpoint_ok,
-    );
+    eprintln!("{USAGE}");
+    std::process::exit(2);
 }
 
 #[cfg(test)]
@@ -1662,10 +776,14 @@ mod dispatch_tests {
 
     #[test]
     fn unknown_bench_kind_is_a_failure_not_a_fallthrough() {
-        let doc: Value =
-            serde_json::from_str(r#"{"bench": "mystery-metric", "schema_version": 1}"#).unwrap();
-        let errs = validate_by_kind(&doc).unwrap_err();
-        assert!(errs.iter().any(|m| m.contains("unknown bench kind `mystery-metric`")), "{errs:?}");
+        // `serving-tail` is BENCH_7's retired kind: neither live nor frozen.
+        for kind in ["mystery-metric", "serving-tail"] {
+            let doc: Value =
+                serde_json::from_str(&format!(r#"{{"bench": "{kind}", "schema_version": 1}}"#))
+                    .unwrap();
+            let errs = validate_by_kind(&doc).unwrap_err();
+            assert!(errs.iter().any(|m| m.contains(&format!("unknown bench kind `{kind}`"))));
+        }
     }
 
     #[test]
@@ -1683,7 +801,6 @@ mod dispatch_tests {
             ("telemetry-trajectory", 3),
             ("batched-stealing", 5),
             ("task-trace", 6),
-            ("serving-tail", 7),
             ("fairness-trajectory", 8),
             ("chaos-mttr", 9),
             ("control-plane", 10),

@@ -1,19 +1,21 @@
 //! Support crate for the Criterion benchmark targets (see `benches/`) and
-//! the `bench-trajectory` driver that emits `BENCH_3.json` (telemetry
-//! overhead), `BENCH_5.json` with `--batching` (batched-stealing off/on
-//! comparison), `BENCH_6.json` with `--task-trace` (task-lifecycle
-//! tracing overhead + sojourn percentiles), `BENCH_7.json` with
-//! `--serving` (open-loop serving tail latency), `BENCH_8.json` with
-//! `--fairness` (simulated many-program fairness trajectory), and
-//! `BENCH_10.json` with `--control-plane` (polling vs doorbell
-//! wake/sojourn comparison) at the repo root. The benchmarks regenerate
-//! the paper's figures and measure the runtime substrates; run them with
+//! the `bench-trajectory` binary, plus the schemas of the committed
+//! `BENCH_N.json` documents at the repo root.
+//!
+//! Three documents still have a live emitter and a hand-written validator
+//! that re-checks their internal consistency: `BENCH_8.json`
+//! (`bench-trajectory --fairness`), `BENCH_9.json` (`chaos
+//! --emit-bench`) and `BENCH_10.json` (`bench-trajectory
+//! --control-plane`). `BENCH_3.json`, `BENCH_5.json` and `BENCH_6.json`
+//! are frozen: their generators are retired, and [`FROZEN`] records only
+//! the fields each must carry. The benchmarks regenerate the paper's
+//! figures and measure the runtime substrates; run them with
 //! `cargo bench --workspace`.
 
 use serde::value::Value;
 
-/// Current bench-document schema version (shared by `BENCH_3.json` and
-/// `BENCH_5.json`). Bump on breaking layout change.
+/// Current bench-document schema version, shared by every `BENCH_N.json`.
+/// Bump on breaking layout change.
 pub const BENCH_SCHEMA_VERSION: u64 = 1;
 
 fn is_int(v: &Value) -> bool {
@@ -30,239 +32,200 @@ fn require(cond: bool, errors: &mut Vec<String>, what: &str) {
     }
 }
 
-/// Validates a parsed `BENCH_3.json` document against the schema the
-/// `bench-trajectory` driver emits: identification header, run
-/// configuration, and results (throughput, per-program counters, latency
-/// percentiles, telemetry-overhead delta). Returns every violation found,
-/// not just the first.
-pub fn validate_bench_value(doc: &Value) -> Result<(), Vec<String>> {
-    let mut errors = Vec::new();
-    let e = &mut errors;
+/// The JSON type a frozen document must carry at one path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FieldType {
+    /// An integer.
+    Int,
+    /// Any number, integer or float.
+    Num,
+    /// `true` or `false`.
+    Bool,
+    /// A string.
+    Str,
+}
 
-    require(doc["bench"].as_str() == Some("telemetry-trajectory"), e, "bench name mismatch");
-    require(
-        doc["schema_version"].as_u64() == Some(BENCH_SCHEMA_VERSION),
-        e,
-        "schema_version mismatch",
-    );
-    require(doc["pr"].as_u64() == Some(3), e, "pr must be 3");
-
-    let cfg = &doc["config"];
-    for key in ["cores", "fib_n", "iters", "reps", "telemetry_tick_ms"] {
-        require(is_int(&cfg[key]), e, &format!("config.{key} must be an integer"));
-    }
-    require(matches!(cfg["fast"], Value::Bool(_)), e, "config.fast must be a bool");
-
-    let r = &doc["results"];
-    require(is_num(&r["makespan_ms"]), e, "results.makespan_ms must be numeric");
-    require(
-        is_num(&r["throughput_jobs_per_s"]),
-        e,
-        "results.throughput_jobs_per_s must be numeric",
-    );
-
-    match &r["per_program"] {
-        Value::Array(progs) if !progs.is_empty() => {
-            for (i, p) in progs.iter().enumerate() {
-                require(p["label"].as_str().is_some(), e, &format!("per_program[{i}].label"));
-                for key in [
-                    "prog",
-                    "jobs",
-                    "steals_ok",
-                    "steals_failed",
-                    "sleeps",
-                    "wakes",
-                    "cores_acquired",
-                    "cores_reclaimed",
-                    "cores_released",
-                    "frames",
-                    "frames_evicted",
-                ] {
-                    require(
-                        is_int(&p[key]),
-                        e,
-                        &format!("per_program[{i}].{key} must be an integer"),
-                    );
-                }
-            }
-        }
-        _ => e.push("results.per_program must be a non-empty array".to_string()),
-    }
-
-    for hist in ["steal_latency_ns", "wake_to_first_task_ns"] {
-        for q in ["p50", "p99"] {
-            require(
-                is_int(&r[hist][q]),
-                e,
-                &format!("results.{hist}.{q} must be an integer (nanoseconds)"),
-            );
+impl FieldType {
+    fn admits(self, v: &Value) -> bool {
+        match self {
+            FieldType::Int => is_int(v),
+            FieldType::Num => is_num(v),
+            FieldType::Bool => matches!(v, Value::Bool(_)),
+            FieldType::Str => matches!(v, Value::String(_)),
         }
     }
 
-    let t = &r["telemetry"];
-    for key in ["makespan_off_ms", "makespan_on_ms", "overhead_pct"] {
-        require(is_num(&t[key]), e, &format!("results.telemetry.{key} must be numeric"));
-    }
-    for key in ["frames", "frames_evicted"] {
-        require(is_int(&t[key]), e, &format!("results.telemetry.{key} must be an integer"));
-    }
-    require(
-        matches!(t["endpoint_ok"], Value::Bool(_)),
-        e,
-        "results.telemetry.endpoint_ok must be a bool",
-    );
-
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
+    fn name(self) -> &'static str {
+        match self {
+            FieldType::Int => "an integer",
+            FieldType::Num => "numeric",
+            FieldType::Bool => "a bool",
+            FieldType::Str => "a string",
+        }
     }
 }
 
-/// Validates a parsed `BENCH_5.json` document against the schema the
-/// `bench-trajectory --batching` mode emits: identification header, run
-/// configuration, and the batching off/on comparison (makespans,
-/// steal-failure and tasks-moved deltas, per-program counters of the
-/// batching-on run). Returns every violation found, not just the first.
-pub fn validate_bench5_value(doc: &Value) -> Result<(), Vec<String>> {
-    let mut errors = Vec::new();
-    let e = &mut errors;
-
-    require(doc["bench"].as_str() == Some("batched-stealing"), e, "bench name mismatch");
-    require(
-        doc["schema_version"].as_u64() == Some(BENCH_SCHEMA_VERSION),
-        e,
-        "schema_version mismatch",
-    );
-    require(doc["pr"].as_u64() == Some(5), e, "pr must be 5");
-
-    let cfg = &doc["config"];
-    for key in ["cores", "fib_n", "iters", "reps", "steal_batch_limit"] {
-        require(is_int(&cfg[key]), e, &format!("config.{key} must be an integer"));
-    }
-    require(matches!(cfg["fast"], Value::Bool(_)), e, "config.fast must be a bool");
-
-    let r = &doc["results"];
-    for key in ["makespan_off_ms", "makespan_on_ms", "speedup_pct", "mean_batch_on"] {
-        require(is_num(&r[key]), e, &format!("results.{key} must be numeric"));
-    }
-    for key in [
-        "steals_ok_off",
-        "steals_ok_on",
-        "steals_failed_off",
-        "steals_failed_on",
-        "tasks_stolen_on",
-    ] {
-        require(is_int(&r[key]), e, &format!("results.{key} must be an integer"));
-    }
-    // Internal consistency: every successful batched steal moves at
-    // least one task, so the tasks-moved total can never undercut the
-    // op count.
-    if let (Some(tasks), Some(ops)) = (r["tasks_stolen_on"].as_u64(), r["steals_ok_on"].as_u64()) {
-        require(tasks >= ops, e, "results.tasks_stolen_on must be >= results.steals_ok_on");
-    }
-
-    match &r["per_program"] {
-        Value::Array(progs) if !progs.is_empty() => {
-            for (i, p) in progs.iter().enumerate() {
-                require(p["label"].as_str().is_some(), e, &format!("per_program[{i}].label"));
-                for key in ["prog", "jobs", "steals_ok", "steals_failed", "tasks_stolen"] {
-                    require(
-                        is_int(&p[key]),
-                        e,
-                        &format!("per_program[{i}].{key} must be an integer"),
-                    );
-                }
-            }
-        }
-        _ => e.push("results.per_program must be a non-empty array".to_string()),
-    }
-
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
-    }
+/// A committed bench document whose generator is retired: its `bench`
+/// kind, the PR that emitted it, and the dotted paths it must carry,
+/// grouped by type. A `*` segment stands for every element of a
+/// non-empty array.
+#[derive(Debug)]
+pub struct Frozen {
+    /// The document's `bench` field.
+    pub kind: &'static str,
+    /// The document's `pr` field (the `N` of `BENCH_N.json`).
+    pub pr: u64,
+    /// Required paths, grouped by the type each must hold.
+    pub fields: &'static [(FieldType, &'static [&'static str])],
 }
 
-/// Validates a parsed `BENCH_6.json` document against the schema the
-/// `bench-trajectory --task-trace` mode emits: identification header,
-/// run configuration, and the tracing off/on comparison (makespans, the
-/// overhead delta against its budget, and per-program task-sojourn
-/// percentiles from the traced run). Returns every violation found, not
-/// just the first.
-pub fn validate_bench6_value(doc: &Value) -> Result<(), Vec<String>> {
+use FieldType::{Bool, Int, Num, Str};
+
+/// The frozen documents. Their numbers are quoted in EXPERIMENTS.md; the
+/// generators last existed at commit `98d63dc`.
+pub const FROZEN: &[Frozen] = &[
+    Frozen {
+        kind: "telemetry-trajectory",
+        pr: 3,
+        fields: &[
+            (
+                Int,
+                &[
+                    "config.cores",
+                    "config.fib_n",
+                    "config.iters",
+                    "config.reps",
+                    "config.telemetry_tick_ms",
+                    "results.per_program.*.prog",
+                    "results.per_program.*.jobs",
+                    "results.per_program.*.steals_ok",
+                    "results.per_program.*.steals_failed",
+                    "results.per_program.*.sleeps",
+                    "results.per_program.*.wakes",
+                    "results.per_program.*.cores_acquired",
+                    "results.per_program.*.cores_reclaimed",
+                    "results.per_program.*.cores_released",
+                    "results.per_program.*.frames",
+                    "results.per_program.*.frames_evicted",
+                    "results.steal_latency_ns.p50",
+                    "results.steal_latency_ns.p99",
+                    "results.wake_to_first_task_ns.p50",
+                    "results.wake_to_first_task_ns.p99",
+                    "results.telemetry.frames",
+                    "results.telemetry.frames_evicted",
+                ],
+            ),
+            (
+                Num,
+                &[
+                    "results.makespan_ms",
+                    "results.throughput_jobs_per_s",
+                    "results.telemetry.makespan_off_ms",
+                    "results.telemetry.makespan_on_ms",
+                    "results.telemetry.overhead_pct",
+                ],
+            ),
+            (Bool, &["results.telemetry.endpoint_ok"]),
+            (Str, &["results.per_program.*.label"]),
+        ],
+    },
+    Frozen {
+        kind: "batched-stealing",
+        pr: 5,
+        fields: &[
+            (
+                Int,
+                &[
+                    "config.cores",
+                    "config.fib_n",
+                    "config.iters",
+                    "config.reps",
+                    "config.steal_batch_limit",
+                    "results.steals_ok_off",
+                    "results.steals_ok_on",
+                    "results.steals_failed_off",
+                    "results.steals_failed_on",
+                    "results.tasks_stolen_on",
+                    "results.per_program.*.prog",
+                    "results.per_program.*.jobs",
+                    "results.per_program.*.steals_ok",
+                    "results.per_program.*.steals_failed",
+                    "results.per_program.*.tasks_stolen",
+                ],
+            ),
+            (
+                Num,
+                &[
+                    "results.makespan_off_ms",
+                    "results.makespan_on_ms",
+                    "results.speedup_pct",
+                    "results.mean_batch_on",
+                ],
+            ),
+            (Str, &["results.per_program.*.label"]),
+        ],
+    },
+    Frozen {
+        kind: "task-trace",
+        pr: 6,
+        fields: &[
+            (
+                Int,
+                &[
+                    "config.cores",
+                    "config.fib_n",
+                    "config.iters",
+                    "config.reps",
+                    "config.trace_capacity",
+                    "results.per_program.*.prog",
+                    "results.per_program.*.jobs",
+                    "results.per_program.*.sojourn_samples",
+                    "results.per_program.*.sojourn_p50_ns",
+                    "results.per_program.*.sojourn_p99_ns",
+                    "results.per_program.*.sojourn_p999_ns",
+                ],
+            ),
+            (
+                Num,
+                &[
+                    "results.makespan_off_ms",
+                    "results.makespan_on_ms",
+                    "results.overhead_pct",
+                    "results.budget_pct",
+                ],
+            ),
+            (Bool, &["results.within_budget"]),
+            (Str, &["results.per_program.*.label"]),
+        ],
+    },
+];
+
+/// Validates a frozen document against its [`FROZEN`] row: the header
+/// (`bench`, `pr`, `schema_version == 1`), a full-length run
+/// (`config.fast == false` — a smoke run is not a measurement), and every
+/// listed path present with its type. Returns every violation found, not
+/// just the first; each names the path it is about.
+pub fn validate_frozen(row: &Frozen, doc: &Value) -> Result<(), Vec<String>> {
     let mut errors = Vec::new();
     let e = &mut errors;
 
-    require(doc["bench"].as_str() == Some("task-trace"), e, "bench name mismatch");
+    require(doc["bench"].as_str() == Some(row.kind), e, "bench name mismatch");
     require(
         doc["schema_version"].as_u64() == Some(BENCH_SCHEMA_VERSION),
         e,
         "schema_version mismatch",
     );
-    require(doc["pr"].as_u64() == Some(6), e, "pr must be 6");
-
-    let cfg = &doc["config"];
-    for key in ["cores", "fib_n", "iters", "reps", "trace_capacity"] {
-        require(is_int(&cfg[key]), e, &format!("config.{key} must be an integer"));
-    }
-    require(matches!(cfg["fast"], Value::Bool(_)), e, "config.fast must be a bool");
-
-    let r = &doc["results"];
-    for key in ["makespan_off_ms", "makespan_on_ms", "overhead_pct", "budget_pct"] {
-        require(is_num(&r[key]), e, &format!("results.{key} must be numeric"));
-    }
+    require(doc["pr"].as_u64() == Some(row.pr), e, &format!("pr must be {}", row.pr));
     require(
-        matches!(r["within_budget"], Value::Bool(_)),
+        doc["config"]["fast"] == Value::Bool(false),
         e,
-        "results.within_budget must be a bool",
+        "config.fast must be false (a smoke run is not a measurement)",
     );
-    // Internal consistency: the verdict must agree with the numbers it
-    // claims to summarize.
-    if let (Some(overhead), Some(budget), Value::Bool(within)) =
-        (num(&r["overhead_pct"]), num(&r["budget_pct"]), &r["within_budget"])
-    {
-        require(
-            *within == (overhead <= budget),
-            e,
-            "results.within_budget disagrees with overhead_pct vs budget_pct",
-        );
-    }
-
-    match &r["per_program"] {
-        Value::Array(progs) if !progs.is_empty() => {
-            for (i, p) in progs.iter().enumerate() {
-                require(p["label"].as_str().is_some(), e, &format!("per_program[{i}].label"));
-                for key in [
-                    "prog",
-                    "jobs",
-                    "sojourn_samples",
-                    "sojourn_p50_ns",
-                    "sojourn_p99_ns",
-                    "sojourn_p999_ns",
-                ] {
-                    require(
-                        is_int(&p[key]),
-                        e,
-                        &format!("per_program[{i}].{key} must be an integer"),
-                    );
-                }
-                // Quantiles of one distribution cannot invert.
-                if let (Some(p50), Some(p99), Some(p999)) = (
-                    p["sojourn_p50_ns"].as_u64(),
-                    p["sojourn_p99_ns"].as_u64(),
-                    p["sojourn_p999_ns"].as_u64(),
-                ) {
-                    require(
-                        p50 <= p99 && p99 <= p999,
-                        e,
-                        &format!("per_program[{i}]: sojourn quantiles must be monotone"),
-                    );
-                }
-            }
+    for &(ty, paths) in row.fields {
+        for path in paths {
+            let segments: Vec<&str> = path.split('.').collect();
+            check_path(doc, "", &segments, ty, e);
         }
-        _ => e.push("results.per_program must be a non-empty array".to_string()),
     }
 
     if errors.is_empty() {
@@ -272,138 +235,31 @@ pub fn validate_bench6_value(doc: &Value) -> Result<(), Vec<String>> {
     }
 }
 
-/// Validates a parsed `BENCH_7.json` document against the schema the
-/// `bench-trajectory --serving` mode emits: identification header, the
-/// open-loop workload configuration (bursty MMPP arrivals ×
-/// bounded-Pareto demands), a T_SLEEP × coordinator-period sweep with
-/// per-program end-to-end request-sojourn percentiles, and the tracing
-/// off/on overhead delta against its budget. Returns every violation
-/// found, not just the first.
-pub fn validate_bench7_value(doc: &Value) -> Result<(), Vec<String>> {
-    let mut errors = Vec::new();
-    let e = &mut errors;
-
-    require(doc["bench"].as_str() == Some("serving-tail"), e, "bench name mismatch");
-    require(
-        doc["schema_version"].as_u64() == Some(BENCH_SCHEMA_VERSION),
-        e,
-        "schema_version mismatch",
-    );
-    require(doc["pr"].as_u64() == Some(7), e, "pr must be 7");
-
-    let cfg = &doc["config"];
-    for key in ["cores", "duration_ms", "ring_capacity", "drain_batch", "reps", "seed"] {
-        require(is_int(&cfg[key]), e, &format!("config.{key} must be an integer"));
-    }
-    for key in ["rate_per_sec", "burstiness", "demand_min_us", "demand_max_us", "demand_alpha"] {
-        require(is_num(&cfg[key]), e, &format!("config.{key} must be numeric"));
-    }
-    require(matches!(cfg["fast"], Value::Bool(_)), e, "config.fast must be a bool");
-
-    let r = &doc["results"];
-    match &r["sweep"] {
-        Value::Array(points) if !points.is_empty() => {
-            for (i, pt) in points.iter().enumerate() {
-                for key in ["t_sleep_ms", "coordinator_period_ms"] {
-                    require(is_int(&pt[key]), e, &format!("sweep[{i}].{key} must be an integer"));
+/// Follows `rest` down from `v` (reached at path `at`), expanding `*` over
+/// array elements, and checks the leaf against `ty`.
+fn check_path(v: &Value, at: &str, rest: &[&str], ty: FieldType, e: &mut Vec<String>) {
+    let Some((&seg, rest)) = rest.split_first() else {
+        require(ty.admits(v), e, &format!("{at} must be {}", ty.name()));
+        return;
+    };
+    let dot = if at.is_empty() { "" } else { "." };
+    if seg == "*" {
+        match v.as_array() {
+            Some(items) if !items.is_empty() => {
+                for (i, item) in items.iter().enumerate() {
+                    check_path(item, &format!("{at}{dot}{i}"), rest, ty, e);
                 }
-                require(
-                    is_num(&pt["throughput_req_per_s"]),
-                    e,
-                    &format!("sweep[{i}].throughput_req_per_s must be numeric"),
-                );
-                match &pt["per_program"] {
-                    Value::Array(progs) if !progs.is_empty() => {
-                        for (j, p) in progs.iter().enumerate() {
-                            let at = format!("sweep[{i}].per_program[{j}]");
-                            require(p["label"].as_str().is_some(), e, &format!("{at}.label"));
-                            for key in [
-                                "prog",
-                                "offered",
-                                "submitted",
-                                "shed",
-                                "fenced",
-                                "admitted",
-                                "request_p50_us",
-                                "request_p99_us",
-                                "request_p999_us",
-                            ] {
-                                require(
-                                    is_int(&p[key]),
-                                    e,
-                                    &format!("{at}.{key} must be an integer"),
-                                );
-                            }
-                            // An open-loop generator accounts for every
-                            // arrival exactly once, and the coordinator
-                            // can only admit what the ring accepted.
-                            if let (Some(off), Some(sub), Some(shed), Some(fen)) = (
-                                p["offered"].as_u64(),
-                                p["submitted"].as_u64(),
-                                p["shed"].as_u64(),
-                                p["fenced"].as_u64(),
-                            ) {
-                                require(
-                                    off == sub + shed + fen,
-                                    e,
-                                    &format!("{at}: offered must equal submitted+shed+fenced"),
-                                );
-                            }
-                            if let (Some(adm), Some(sub)) =
-                                (p["admitted"].as_u64(), p["submitted"].as_u64())
-                            {
-                                require(
-                                    adm <= sub,
-                                    e,
-                                    &format!("{at}: admitted must be <= submitted"),
-                                );
-                            }
-                            // Quantiles of one distribution cannot invert.
-                            if let (Some(p50), Some(p99), Some(p999)) = (
-                                p["request_p50_us"].as_u64(),
-                                p["request_p99_us"].as_u64(),
-                                p["request_p999_us"].as_u64(),
-                            ) {
-                                require(
-                                    p50 <= p99 && p99 <= p999,
-                                    e,
-                                    &format!("{at}: request quantiles must be monotone"),
-                                );
-                            }
-                        }
-                    }
-                    _ => e.push(format!("sweep[{i}].per_program must be a non-empty array")),
+            }
+            _ => {
+                // Reported once, not once per path under the array.
+                let msg = format!("{at} must be a non-empty array");
+                if !e.contains(&msg) {
+                    e.push(msg);
                 }
             }
         }
-        _ => e.push("results.sweep must be a non-empty array".to_string()),
-    }
-
-    let t = &r["trace_overhead"];
-    for key in ["makespan_off_ms", "makespan_on_ms", "overhead_pct", "budget_pct"] {
-        require(is_num(&t[key]), e, &format!("results.trace_overhead.{key} must be numeric"));
-    }
-    require(
-        matches!(t["within_budget"], Value::Bool(_)),
-        e,
-        "results.trace_overhead.within_budget must be a bool",
-    );
-    // Internal consistency: the verdict must agree with the numbers it
-    // claims to summarize.
-    if let (Some(overhead), Some(budget), Value::Bool(within)) =
-        (num(&t["overhead_pct"]), num(&t["budget_pct"]), &t["within_budget"])
-    {
-        require(
-            *within == (overhead <= budget),
-            e,
-            "results.trace_overhead.within_budget disagrees with overhead_pct vs budget_pct",
-        );
-    }
-
-    if errors.is_empty() {
-        Ok(())
     } else {
-        Err(errors)
+        check_path(&v[seg], &format!("{at}{dot}{seg}"), rest, ty, e);
     }
 }
 
@@ -969,39 +825,26 @@ mod tests {
         }
     }
 
-    #[test]
-    fn valid_document_passes() {
-        assert_eq!(validate_bench_value(&valid_doc()), Ok(()));
+    /// Deletes the field at a dotted path whose numeric segments index
+    /// arrays.
+    fn remove(doc: &mut Value, path: &str) {
+        let (parent, leaf) = path.rsplit_once('.').unwrap_or(("", path));
+        let mut cur = doc;
+        for seg in parent.split('.').filter(|s| !s.is_empty()) {
+            cur = match cur {
+                Value::Array(items) => &mut items[seg.parse::<usize>().unwrap()],
+                Value::Object(pairs) => &mut pairs.iter_mut().find(|(k, _)| k == seg).unwrap().1,
+                _ => panic!("cannot descend into {seg} of {path}"),
+            };
+        }
+        let Value::Object(pairs) = cur else { panic!("{path}: parent is not an object") };
+        let before = pairs.len();
+        pairs.retain(|(k, _)| k != leaf);
+        assert_eq!(pairs.len(), before - 1, "{path} was not present");
     }
 
-    #[test]
-    fn wrong_bench_name_fails() {
-        let mut doc = valid_doc();
-        set(&mut doc, &["bench"], Value::String("other".into()));
-        assert!(validate_bench_value(&doc).is_err());
-    }
-
-    #[test]
-    fn non_numeric_overhead_fails_with_a_named_path() {
-        let mut doc = valid_doc();
-        set(&mut doc, &["results", "telemetry", "overhead_pct"], Value::String("2%".into()));
-        let errs = validate_bench_value(&doc).unwrap_err();
-        assert!(errs.iter().any(|m| m.contains("overhead_pct")), "{errs:?}");
-    }
-
-    #[test]
-    fn missing_per_program_fields_fail() {
-        let mut doc = valid_doc();
-        set(&mut doc, &["results", "per_program"], Value::Array(vec![]));
-        assert!(validate_bench_value(&doc).is_err());
-    }
-
-    #[test]
-    fn integer_makespan_is_accepted() {
-        // Numbers may land as ints when they happen to be whole.
-        let mut doc = valid_doc();
-        set(&mut doc, &["results", "makespan_ms"], Value::U64(812));
-        assert_eq!(validate_bench_value(&doc), Ok(()));
+    fn frozen(pr: u64) -> &'static Frozen {
+        FROZEN.iter().find(|row| row.pr == pr).unwrap()
     }
 
     fn valid_bench5_doc() -> Value {
@@ -1032,33 +875,6 @@ mod tests {
         .unwrap()
     }
 
-    #[test]
-    fn valid_bench5_document_passes() {
-        assert_eq!(validate_bench5_value(&valid_bench5_doc()), Ok(()));
-    }
-
-    #[test]
-    fn bench5_rejects_bench3_document_and_vice_versa() {
-        assert!(validate_bench5_value(&valid_doc()).is_err());
-        assert!(validate_bench_value(&valid_bench5_doc()).is_err());
-    }
-
-    #[test]
-    fn bench5_tasks_below_ops_fails() {
-        let mut doc = valid_bench5_doc();
-        set(&mut doc, &["results", "tasks_stolen_on"], Value::U64(10));
-        let errs = validate_bench5_value(&doc).unwrap_err();
-        assert!(errs.iter().any(|m| m.contains("tasks_stolen_on")), "{errs:?}");
-    }
-
-    #[test]
-    fn bench5_missing_batch_limit_fails() {
-        let mut doc = valid_bench5_doc();
-        set(&mut doc, &["config", "steal_batch_limit"], Value::String("8".into()));
-        let errs = validate_bench5_value(&doc).unwrap_err();
-        assert!(errs.iter().any(|m| m.contains("steal_batch_limit")), "{errs:?}");
-    }
-
     fn valid_bench6_doc() -> Value {
         serde_json::from_str(
             r#"{
@@ -1085,128 +901,116 @@ mod tests {
     }
 
     #[test]
+    fn valid_document_passes() {
+        assert_eq!(validate_frozen(frozen(3), &valid_doc()), Ok(()));
+    }
+
+    #[test]
+    fn wrong_bench_name_fails() {
+        let mut doc = valid_doc();
+        set(&mut doc, &["bench"], Value::String("other".into()));
+        assert!(validate_frozen(frozen(3), &doc).is_err());
+    }
+
+    #[test]
+    fn non_numeric_overhead_fails_with_a_named_path() {
+        let mut doc = valid_doc();
+        set(&mut doc, &["results", "telemetry", "overhead_pct"], Value::String("2%".into()));
+        let errs = validate_frozen(frozen(3), &doc).unwrap_err();
+        assert!(errs.iter().any(|m| m.contains("results.telemetry.overhead_pct")), "{errs:?}");
+    }
+
+    #[test]
+    fn missing_per_program_fields_fail() {
+        let mut doc = valid_doc();
+        set(&mut doc, &["results", "per_program"], Value::Array(vec![]));
+        let errs = validate_frozen(frozen(3), &doc).unwrap_err();
+        assert_eq!(errs, ["results.per_program must be a non-empty array"], "reported once");
+    }
+
+    #[test]
+    fn integer_makespan_is_accepted() {
+        // Numbers may land as ints when they happen to be whole.
+        let mut doc = valid_doc();
+        set(&mut doc, &["results", "makespan_ms"], Value::U64(812));
+        assert_eq!(validate_frozen(frozen(3), &doc), Ok(()));
+    }
+
+    #[test]
+    fn valid_bench5_document_passes() {
+        assert_eq!(validate_frozen(frozen(5), &valid_bench5_doc()), Ok(()));
+    }
+
+    #[test]
+    fn bench5_rejects_bench3_document_and_vice_versa() {
+        assert!(validate_frozen(frozen(5), &valid_doc()).is_err());
+        assert!(validate_frozen(frozen(3), &valid_bench5_doc()).is_err());
+    }
+
+    #[test]
+    fn bench5_missing_batch_limit_fails() {
+        let mut doc = valid_bench5_doc();
+        set(&mut doc, &["config", "steal_batch_limit"], Value::String("8".into()));
+        let errs = validate_frozen(frozen(5), &doc).unwrap_err();
+        assert!(errs.iter().any(|m| m.contains("config.steal_batch_limit")), "{errs:?}");
+    }
+
+    #[test]
     fn valid_bench6_document_passes() {
-        assert_eq!(validate_bench6_value(&valid_bench6_doc()), Ok(()));
+        assert_eq!(validate_frozen(frozen(6), &valid_bench6_doc()), Ok(()));
     }
 
     #[test]
     fn bench6_rejects_other_schemas_and_vice_versa() {
-        assert!(validate_bench6_value(&valid_doc()).is_err());
-        assert!(validate_bench6_value(&valid_bench5_doc()).is_err());
-        assert!(validate_bench_value(&valid_bench6_doc()).is_err());
-        assert!(validate_bench5_value(&valid_bench6_doc()).is_err());
+        assert!(validate_frozen(frozen(6), &valid_doc()).is_err());
+        assert!(validate_frozen(frozen(6), &valid_bench5_doc()).is_err());
+        assert!(validate_frozen(frozen(3), &valid_bench6_doc()).is_err());
+        assert!(validate_frozen(frozen(5), &valid_bench6_doc()).is_err());
     }
 
     #[test]
-    fn bench6_budget_verdict_must_match_the_numbers() {
+    fn frozen_document_missing_any_listed_path_fails_naming_it() {
+        for (pr, doc) in [(3, valid_doc()), (5, valid_bench5_doc()), (6, valid_bench6_doc())] {
+            let row = frozen(pr);
+            for &(_, paths) in row.fields {
+                for path in paths {
+                    let concrete = path.replace('*', "0");
+                    let mut doc = doc.clone();
+                    remove(&mut doc, &concrete);
+                    let errs = validate_frozen(row, &doc).unwrap_err();
+                    assert!(errs.iter().any(|m| m.contains(&concrete)), "{concrete}: {errs:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn frozen_document_with_a_wrong_pr_fails() {
         let mut doc = valid_bench6_doc();
-        set(&mut doc, &["results", "overhead_pct"], Value::F64(4.2));
-        let errs = validate_bench6_value(&doc).unwrap_err();
-        assert!(errs.iter().any(|m| m.contains("within_budget")), "{errs:?}");
-        // An honest over-budget document is schema-valid (the CI gate
-        // judges the verdict, not the validator).
-        set(&mut doc, &["results", "within_budget"], Value::Bool(false));
-        assert_eq!(validate_bench6_value(&doc), Ok(()));
-    }
-
-    fn valid_bench7_doc() -> Value {
-        serde_json::from_str(
-            r#"{
-              "bench": "serving-tail",
-              "schema_version": 1,
-              "pr": 7,
-              "config": {"cores": 4, "rate_per_sec": 3000.0, "burstiness": 4.0,
-                         "demand_min_us": 50.0, "demand_max_us": 2000.0,
-                         "demand_alpha": 1.5, "duration_ms": 300,
-                         "ring_capacity": 1024, "drain_batch": 256,
-                         "reps": 2, "seed": 7, "fast": false},
-              "results": {
-                "sweep": [
-                  {"t_sleep_ms": 1, "coordinator_period_ms": 1,
-                   "throughput_req_per_s": 2950.0,
-                   "per_program": [
-                     {"prog": 0, "label": "p0", "offered": 900, "submitted": 880,
-                      "shed": 20, "fenced": 0, "admitted": 880,
-                      "request_p50_us": 400, "request_p99_us": 9000,
-                      "request_p999_us": 30000}
-                   ]}
-                ],
-                "trace_overhead": {"makespan_off_ms": 310.0, "makespan_on_ms": 314.0,
-                                   "overhead_pct": 1.3, "budget_pct": 3.0,
-                                   "within_budget": true}
-              }
-            }"#,
-        )
-        .unwrap()
+        set(&mut doc, &["pr"], Value::U64(7));
+        let errs = validate_frozen(frozen(6), &doc).unwrap_err();
+        assert_eq!(errs, ["pr must be 6"]);
     }
 
     #[test]
-    fn valid_bench7_document_passes() {
-        assert_eq!(validate_bench7_value(&valid_bench7_doc()), Ok(()));
+    fn frozen_smoke_run_fails() {
+        for (pr, mut doc) in [(3, valid_doc()), (5, valid_bench5_doc()), (6, valid_bench6_doc())] {
+            set(&mut doc, &["config", "fast"], Value::Bool(true));
+            let errs = validate_frozen(frozen(pr), &doc).unwrap_err();
+            assert!(errs.iter().any(|m| m.contains("config.fast must be false")), "{errs:?}");
+        }
     }
 
     #[test]
-    fn bench7_rejects_other_schemas_and_vice_versa() {
-        assert!(validate_bench7_value(&valid_doc()).is_err());
-        assert!(validate_bench7_value(&valid_bench6_doc()).is_err());
-        assert!(validate_bench_value(&valid_bench7_doc()).is_err());
-        assert!(validate_bench6_value(&valid_bench7_doc()).is_err());
-    }
-
-    fn set_bench7_prog(doc: &mut Value, key: &str, v: Value) {
-        let Value::Object(pairs) = doc else { panic!("not an object") };
-        let results = &mut pairs.iter_mut().find(|(k, _)| k == "results").unwrap().1;
-        let Value::Object(pairs) = results else { panic!() };
-        let sweep = &mut pairs.iter_mut().find(|(k, _)| k == "sweep").unwrap().1;
-        let Value::Array(points) = sweep else { panic!() };
-        let Value::Object(pairs) = &mut points[0] else { panic!() };
-        let progs = &mut pairs.iter_mut().find(|(k, _)| k == "per_program").unwrap().1;
-        let Value::Array(progs) = progs else { panic!() };
-        set(&mut progs[0], &[key], v);
-    }
-
-    #[test]
-    fn bench7_arrival_accounting_must_balance() {
-        let mut doc = valid_bench7_doc();
-        set_bench7_prog(&mut doc, "shed", Value::U64(999));
-        let errs = validate_bench7_value(&doc).unwrap_err();
-        assert!(errs.iter().any(|m| m.contains("submitted+shed+fenced")), "{errs:?}");
-    }
-
-    #[test]
-    fn bench7_admitted_beyond_submitted_fails() {
-        let mut doc = valid_bench7_doc();
-        set_bench7_prog(&mut doc, "admitted", Value::U64(881));
-        let errs = validate_bench7_value(&doc).unwrap_err();
-        assert!(errs.iter().any(|m| m.contains("admitted must be <=")), "{errs:?}");
-    }
-
-    #[test]
-    fn bench7_inverted_request_quantiles_fail() {
-        let mut doc = valid_bench7_doc();
-        set_bench7_prog(&mut doc, "request_p999_us", Value::U64(10));
-        let errs = validate_bench7_value(&doc).unwrap_err();
-        assert!(errs.iter().any(|m| m.contains("monotone")), "{errs:?}");
-    }
-
-    #[test]
-    fn bench7_budget_verdict_must_match_the_numbers() {
-        let mut doc = valid_bench7_doc();
-        set(&mut doc, &["results", "trace_overhead", "overhead_pct"], Value::F64(4.2));
-        let errs = validate_bench7_value(&doc).unwrap_err();
-        assert!(errs.iter().any(|m| m.contains("within_budget")), "{errs:?}");
-        // An honest over-budget document is schema-valid (the CI gate
-        // judges the verdict, not the validator).
-        set(&mut doc, &["results", "trace_overhead", "within_budget"], Value::Bool(false));
-        assert_eq!(validate_bench7_value(&doc), Ok(()));
-    }
-
-    #[test]
-    fn bench7_empty_sweep_fails() {
-        let mut doc = valid_bench7_doc();
-        set(&mut doc, &["results", "sweep"], Value::Array(vec![]));
-        let errs = validate_bench7_value(&doc).unwrap_err();
-        assert!(errs.iter().any(|m| m.contains("sweep")), "{errs:?}");
+    fn committed_frozen_documents_pass() {
+        for (pr, text) in [
+            (3, include_str!("../../BENCH_3.json")),
+            (5, include_str!("../../BENCH_5.json")),
+            (6, include_str!("../../BENCH_6.json")),
+        ] {
+            let doc: Value = serde_json::from_str(text).unwrap();
+            assert_eq!(validate_frozen(frozen(pr), &doc), Ok(()), "BENCH_{pr}.json");
+        }
     }
 
     fn valid_bench8_doc() -> Value {
@@ -1256,9 +1060,9 @@ mod tests {
     #[test]
     fn bench8_rejects_other_schemas_and_vice_versa() {
         assert!(validate_bench8_value(&valid_doc()).is_err());
-        assert!(validate_bench8_value(&valid_bench7_doc()).is_err());
-        assert!(validate_bench_value(&valid_bench8_doc()).is_err());
-        assert!(validate_bench7_value(&valid_bench8_doc()).is_err());
+        assert!(validate_bench8_value(&valid_bench6_doc()).is_err());
+        assert!(validate_frozen(frozen(3), &valid_bench8_doc()).is_err());
+        assert!(validate_frozen(frozen(6), &valid_bench8_doc()).is_err());
     }
 
     #[test]
@@ -1363,7 +1167,7 @@ mod tests {
     fn bench9_rejects_other_schemas_and_vice_versa() {
         assert!(validate_bench9_value(&valid_doc()).is_err());
         assert!(validate_bench9_value(&valid_bench8_doc()).is_err());
-        assert!(validate_bench_value(&valid_bench9_doc()).is_err());
+        assert!(validate_frozen(frozen(3), &valid_bench9_doc()).is_err());
         assert!(validate_bench8_value(&valid_bench9_doc()).is_err());
     }
 
@@ -1493,10 +1297,10 @@ mod tests {
     #[test]
     fn bench10_rejects_other_schemas_and_vice_versa() {
         assert!(validate_bench10_value(&valid_doc()).is_err());
-        assert!(validate_bench10_value(&valid_bench7_doc()).is_err());
+        assert!(validate_bench10_value(&valid_bench8_doc()).is_err());
         assert!(validate_bench10_value(&valid_bench9_doc()).is_err());
-        assert!(validate_bench_value(&valid_bench10_doc()).is_err());
-        assert!(validate_bench7_value(&valid_bench10_doc()).is_err());
+        assert!(validate_frozen(frozen(3), &valid_bench10_doc()).is_err());
+        assert!(validate_bench8_value(&valid_bench10_doc()).is_err());
         assert!(validate_bench9_value(&valid_bench10_doc()).is_err());
     }
 
@@ -1592,19 +1396,5 @@ mod tests {
         });
         let errs = validate_bench10_value(&doc).unwrap_err();
         assert!(errs.iter().any(|m| m.contains("submitted+shed+fenced")), "{errs:?}");
-    }
-
-    #[test]
-    fn bench6_inverted_sojourn_quantiles_fail() {
-        let mut doc = valid_bench6_doc();
-        set(&mut doc, &["results", "per_program"], {
-            let mut p = valid_bench6_doc()["results"]["per_program"].clone();
-            if let Value::Array(progs) = &mut p {
-                set(&mut progs[0], &["sojourn_p999_ns"], Value::U64(10));
-            }
-            p
-        });
-        let errs = validate_bench6_value(&doc).unwrap_err();
-        assert!(errs.iter().any(|m| m.contains("monotone")), "{errs:?}");
     }
 }

@@ -153,22 +153,6 @@ pub struct RuntimeConfig {
     /// Defaults to false: pinning 16 workers on a smaller host serializes
     /// them, so opt in explicitly on dedicated machines.
     pub pin_workers: bool,
-    /// Yield to the OS every this many failed steals for non-sleeping
-    /// policies' idle spin (WS), to stay polite on shared hosts.
-    pub spin_yield_interval: u32,
-    /// Most tasks one steal moves from a victim into the thief's own
-    /// deque. The transfer is additionally capped at half of the victim's
-    /// observed queue (and at [`dws_deque::MAX_STEAL_BATCH`]), so `1`
-    /// disables batching entirely. Defaults to 8: deep enough to amortize
-    /// the steal, shallow enough that a mis-targeted batch is cheap to
-    /// re-steal.
-    pub steal_batch_limit: usize,
-    /// How many times a thief re-attempts the *same* victim after
-    /// `Steal::Retry` (a lost CAS race) before the attempt counts as a
-    /// failed steal. CAS contention means the deque is *hot*, not empty —
-    /// counting it toward `T_SLEEP` would drive workers to sleep exactly
-    /// when work is plentiful.
-    pub steal_retries: u32,
     /// How stale a co-runner's lease heartbeat must be before the reaper
     /// pass considers it expired (the `kill(pid, 0)` liveness probe still
     /// has to confirm death). `None` — the default — means 3× the
@@ -202,9 +186,6 @@ impl RuntimeConfig {
             coordinator_period: Duration::from_millis(10),
             sleep_timeout: Some(Duration::from_millis(50)),
             pin_workers: false,
-            spin_yield_interval: 4,
-            steal_batch_limit: 8,
-            steal_retries: 2,
             lease_timeout: None,
             trace: TraceConfig::default(),
             telemetry: TelemetryConfig::default(),
@@ -235,22 +216,6 @@ impl RuntimeConfig {
     pub fn effective_lease_timeout(&self) -> Duration {
         self.lease_timeout
             .unwrap_or_else(|| (self.coordinator_period * 3).max(Self::LEASE_TIMEOUT_FLOOR))
-    }
-
-    /// Overrides the per-steal batch limit. `1` disables batching (every
-    /// steal moves a single task, the pre-batching behaviour).
-    pub fn with_steal_batch_limit(mut self, limit: usize) -> Self {
-        assert!(limit > 0, "steal batch limit must be positive");
-        self.steal_batch_limit = limit;
-        self
-    }
-
-    /// Overrides the bounded same-victim retry count on `Steal::Retry`.
-    /// `0` restores the pre-retry behaviour (contention counts as
-    /// failure immediately).
-    pub fn with_steal_retries(mut self, retries: u32) -> Self {
-        self.steal_retries = retries;
-        self
     }
 
     /// Enables event tracing with the default per-lane capacity.
@@ -328,22 +293,6 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn zero_workers_rejected() {
         RuntimeConfig::new(0, Policy::Ws);
-    }
-
-    #[test]
-    fn steal_batching_defaults_and_builders() {
-        let c = RuntimeConfig::new(4, Policy::Dws);
-        assert_eq!(c.steal_batch_limit, 8);
-        assert_eq!(c.steal_retries, 2);
-        let c = c.with_steal_batch_limit(1).with_steal_retries(0);
-        assert_eq!(c.steal_batch_limit, 1, "limit 1 = batching off");
-        assert_eq!(c.steal_retries, 0, "0 = contention counts as failure");
-    }
-
-    #[test]
-    #[should_panic(expected = "batch limit must be positive")]
-    fn zero_steal_batch_limit_rejected() {
-        let _ = RuntimeConfig::new(1, Policy::Ws).with_steal_batch_limit(0);
     }
 
     #[test]

@@ -101,6 +101,24 @@ const EDGE_RUNG: usize = 1;
 /// program, or the last ring was a false alarm.
 const EDGE_BLOCKED: usize = 2;
 
+/// Most tasks one steal (or one injector drain) moves into the thief's
+/// own deque. The transfer is additionally capped at half of the
+/// victim's observed queue and at [`dws_deque::MAX_STEAL_BATCH`]. Deep
+/// enough to amortize the steal, shallow enough that a mis-targeted
+/// batch is cheap to re-steal.
+const STEAL_BATCH_LIMIT: usize = 8;
+
+/// How many times a thief re-attempts the *same* victim after
+/// `Steal::Retry` (a lost CAS race) before the attempt counts as
+/// contended. CAS contention means the deque is *hot*, not empty —
+/// counting it toward `T_SLEEP` would drive workers to sleep exactly
+/// when work is plentiful.
+const STEAL_RETRIES: u32 = 2;
+
+/// Under [`Policy::Ws`] an idle worker yields to the OS every this many
+/// failed steals, to stay polite on shared hosts.
+const SPIN_YIELD_INTERVAL: u32 = 4;
+
 impl Registry {
     /// `N_b` as the coordinator sees it: queued jobs in all deques plus
     /// the injector. Still O(workers), but a worker that went to sleep
@@ -306,16 +324,17 @@ impl Registry {
         );
     }
 
-    /// Stamps a task identity onto a job entering through the injector
-    /// (no worker context): spawner is [`TaskId::EXTERNAL_WORKER`], the
-    /// sequence comes from a process-wide counter. With tracing on, the
-    /// spawn timestamp is taken and `Spawn`/`Enqueue` land on the shared
-    /// lane — external submissions have no per-worker ring of their own.
     /// Mints the next external-lane task sequence number.
     pub(crate) fn next_external_seq(&self) -> u64 {
         self.external_seq.fetch_add(1, Ordering::Relaxed)
     }
 
+    /// Stamps a task identity onto a job entering through the injector
+    /// (no worker context): spawner is [`TaskId::EXTERNAL_WORKER`], the
+    /// sequence comes from [`Registry::next_external_seq`]. With tracing
+    /// on, the spawn timestamp is taken and `Spawn`/`Enqueue` land on the
+    /// shared lane — external submissions have no per-worker ring of their
+    /// own.
     pub(crate) fn stamp_external(&self, mut job: JobRef) -> JobRef {
         let seq = self.next_external_seq();
         job.task_id = TaskId::new(self.prog_id, TaskId::EXTERNAL_WORKER, seq);
@@ -883,7 +902,7 @@ impl WorkerThread {
             RtMetrics::bump(&reg.metrics.steals_failed);
             match policy {
                 Policy::Ws => {
-                    if failed_steals.is_multiple_of(reg.config.spin_yield_interval.max(1)) {
+                    if failed_steals.is_multiple_of(SPIN_YIELD_INTERVAL) {
                         RtMetrics::bump(&reg.metrics.yields);
                         std::thread::yield_now();
                     } else {
@@ -1023,11 +1042,12 @@ impl WorkerThread {
             return StealOutcome::Job(job);
         }
         // Bulk injector drain: one lock acquisition moves a chunk of
-        // injected work (ceil-half, capped by `steal_batch_limit`) — the
+        // injected work (ceil-half, capped by `STEAL_BATCH_LIMIT`) — the
         // surplus parks in our own deque, where it is popped lock-free next
         // round and remains stealable by siblings.
-        let limit = self.registry.config.steal_batch_limit;
-        if let Some(job) = self.registry.injector.steal_batch_and_pop(&self.deque, limit) {
+        if let Some(job) =
+            self.registry.injector.steal_batch_and_pop(&self.deque, STEAL_BATCH_LIMIT)
+        {
             if !self.deque.is_empty() {
                 self.registry.wake_one_for_surplus();
             }
@@ -1052,16 +1072,15 @@ impl WorkerThread {
 
     /// One steal operation against one victim.
     ///
-    /// Fast path: a victim with fewer than two observable tasks (or
-    /// batching disabled via `steal_batch_limit == 1`) gets a single-task
-    /// steal — one CAS, no bookkeeping. Otherwise the thief takes up to
-    /// half the victim's queue (capped by `steal_batch_limit` and
-    /// [`dws_deque::MAX_STEAL_BATCH`]) into its own deque and runs the
-    /// oldest task immediately, amortizing victim selection and the
-    /// steal-path cache misses over the whole batch.
+    /// Fast path: a victim with fewer than two observable tasks gets a
+    /// single-task steal — one CAS, no bookkeeping. Otherwise the thief
+    /// takes up to half the victim's queue (capped by
+    /// [`STEAL_BATCH_LIMIT`] and [`dws_deque::MAX_STEAL_BATCH`]) into its
+    /// own deque and runs the oldest task immediately, amortizing victim
+    /// selection and the steal-path cache misses over the whole batch.
     ///
     /// A `Steal::Retry` (lost CAS race, deque non-empty) is retried on
-    /// the *same* victim up to `steal_retries` times: contention means
+    /// the *same* victim up to [`STEAL_RETRIES`] times: contention means
     /// the deque is hot, and hopping victims or reporting failure would
     /// misread demand (§3.3 / Eq. 1). Retries still exhausted surfaces as
     /// [`StealOutcome::Contended`], which the main loop keeps out of the
@@ -1074,16 +1093,15 @@ impl WorkerThread {
         }
         let victim = pick(n, self.index);
         let stealer = &reg.workers[victim].stealer;
-        let batch_limit = reg.config.steal_batch_limit;
-        let batch = batch_limit > 1 && stealer.len() >= 2;
+        let batch = stealer.len() >= 2;
         // Latency timing and per-attempt events only while tracing: the
         // disabled hot path must not take timestamps.
         let t0 = if self.trace_on { Some(Instant::now()) } else { None };
-        let mut retries = reg.config.steal_retries;
+        let mut retries = STEAL_RETRIES;
         let (result, moved) = loop {
             let r = if batch {
                 let before = self.deque.len();
-                match stealer.steal_batch_and_pop(&self.deque, batch_limit) {
+                match stealer.steal_batch_and_pop(&self.deque, STEAL_BATCH_LIMIT) {
                     Steal::Success(job) => {
                         // Statistics only: a sibling may already be
                         // re-stealing from our deque, so the count can

@@ -283,6 +283,37 @@ fn metrics_count_jobs() {
     assert!(after - before >= 50, "before={before} after={after}");
 }
 
+/// Batched stealing on a real pool: one worker fans thousands of no-op
+/// tasks into its own deque while its siblings steal. Every successful
+/// steal moves at least one task and at most the runtime's batch limit of
+/// 8, and some steal must move more than one. Rounds repeat up to a bound
+/// rather than trusting one scheduling window: on a single CPU the
+/// siblings only run while the fanning worker is descheduled.
+#[test]
+fn batched_steals_move_several_tasks_within_the_limit() {
+    const FAN: usize = 4096;
+    const MAX_ROUNDS: usize = 200;
+    let pool = rt(4, Policy::Ws);
+    for round in 0..MAX_ROUNDS {
+        pool.scope(|s| {
+            for _ in 0..FAN {
+                s.spawn(|| {});
+            }
+            // Offer the CPU to the thieves while the deque is full.
+            std::thread::yield_now();
+        });
+        // Every stolen task ran before the scope closed, so each steal's
+        // counters are already published.
+        let m = pool.metrics();
+        assert!(m.steals_ok <= m.tasks_stolen, "round {round}: a steal moved nothing: {m:?}");
+        assert!(m.tasks_stolen <= 8 * m.steals_ok, "round {round}: a steal beat the limit: {m:?}");
+        if m.tasks_stolen > m.steals_ok {
+            return;
+        }
+    }
+    panic!("no steal moved more than one task in {MAX_ROUNDS} rounds: {:?}", pool.metrics());
+}
+
 #[test]
 fn drop_shuts_down_cleanly_while_workers_sleep() {
     let table: Arc<dyn CoreTable> = Arc::new(InProcessTable::new(2, 2));
