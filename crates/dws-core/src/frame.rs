@@ -117,7 +117,8 @@ pub struct CounterSample {
     /// Zombie recoveries: own lease re-armed under a bumped epoch.
     pub leases_rearmed: u64,
     /// Coordinator passes triggered by a doorbell edge instead of the
-    /// polling fallback heartbeat (0 with `event_driven` off).
+    /// polling fallback heartbeat (0 on a table backend without
+    /// doorbells).
     pub doorbell_wakes: u64,
     /// `DOORBELL_DEMAND` rings the program sent its own coordinator (the
     /// push-side demand-rise edge, DESIGN §16.1). About one per fork-join

@@ -1,7 +1,7 @@
 //! `chaos` — seeded, replayable chaos engine against the real
 //! shm-backed runtime: randomized fault schedules with the full
-//! invariant stack asserted after every fault, and per-fault-class
-//! MTTR (mean-time-to-repair) histograms.
+//! invariant stack asserted after every fault, and the MTTR
+//! (mean-time-to-repair) of each schedule.
 //!
 //! Where `crash` runs two fixed scenarios, `chaos` *generates* fault
 //! schedules from a seed. Each schedule is one fault class with
@@ -44,14 +44,15 @@
 //! ([`TracedTable::replay_check`]) where the survivor is traced,
 //! admission accounting on the serving path, and metric
 //! reconciliation (`leases_expired` / `cores_reaped` /
-//! `zombies_fenced`). `--emit-bench` writes the MTTR percentiles as
-//! schema-validated `BENCH_9.json`.
+//! `zombies_fenced`). Each schedule prints its MTTR; any violation
+//! prints its `--replay` seed and makes the run exit nonzero. The
+//! per-class MTTR table of `BENCH_9.json` is frozen history (its emitter
+//! last existed at commit `d686262`).
 //!
 //! ```text
-//! cargo run --release --bin chaos                     # 24 schedules
-//! cargo run --release --bin chaos -- --fast           # 6 (CI smoke)
+//! cargo run --release --bin chaos                     # 28 schedules
+//! cargo run --release --bin chaos -- --fast           # 7 (CI smoke)
 //! cargo run --release --bin chaos -- --replay 0xBEEF  # one schedule, exactly
-//! cargo run --release --bin chaos -- --emit-bench BENCH_9.json
 //! ```
 
 use std::io::{BufRead, BufReader, Write};
@@ -449,7 +450,6 @@ fn role_bell_client(path: &Path, client_id: u64, good: u64) -> ExitCode {
 // ---------------------------------------------------------------------------
 
 struct Outcome {
-    class: &'static str,
     mttr: Duration,
     detail: String,
 }
@@ -544,7 +544,7 @@ fn run_pause(seed: u64) -> Outcome {
     );
     drop(rt);
     let _ = std::fs::remove_file(&path);
-    Outcome { class: "pause", mttr, detail }
+    Outcome { mttr, detail }
 }
 
 /// SIGKILL mid-stride (the classic crash), seeded warm-up.
@@ -608,7 +608,7 @@ fn run_kill(seed: u64) -> Outcome {
     let detail = format!("warm {warm:?}, {} trace events clean", stats.total());
     drop(rt);
     let _ = std::fs::remove_file(&path);
-    Outcome { class: "kill", mttr, detail }
+    Outcome { mttr, detail }
 }
 
 /// Heartbeat stall: the victim stays alive but silent; after the fence
@@ -681,7 +681,7 @@ fn run_stall(seed: u64) -> Outcome {
     let detail = format!("beat {beat_ms} ms, {} trace events clean", stats.total());
     drop(rt);
     let _ = std::fs::remove_file(&path);
-    Outcome { class: "stall", mttr, detail }
+    Outcome { mttr, detail }
 }
 
 /// Open-loop churn of 8–32 short-lived programs through a 4-slot table,
@@ -804,7 +804,7 @@ fn run_churn(seed: u64, fast: bool) -> Outcome {
     );
     drop(rt);
     let _ = std::fs::remove_file(&path);
-    Outcome { class: "churn", mttr, detail }
+    Outcome { mttr, detail }
 }
 
 /// Torn header write (seeded garbage over magic+version, optionally
@@ -862,7 +862,7 @@ fn run_torn(seed: u64) -> Outcome {
         format!("{warm_rounds} warm rounds, garbage {garbage:02x?}, deleted={also_delete}");
     drop(rt);
     let _ = std::fs::remove_file(&path);
-    Outcome { class: "torn", mttr, detail }
+    Outcome { mttr, detail }
 }
 
 /// Submission-ring clients killed between reserve and publish: the
@@ -961,7 +961,7 @@ fn run_ring(seed: u64) -> Outcome {
     );
     drop(rt);
     let _ = std::fs::remove_file(&path);
-    Outcome { class: "ring", mttr, detail }
+    Outcome { mttr, detail }
 }
 
 /// Spurious-ring storm against the event-driven serving path: with the
@@ -1072,7 +1072,7 @@ fn run_doorbell(seed: u64) -> Outcome {
     );
     drop(rt);
     let _ = std::fs::remove_file(&path);
-    Outcome { class: "doorbell", mttr, detail }
+    Outcome { mttr, detail }
 }
 
 fn run_schedule(seed: u64, fast: bool) -> Outcome {
@@ -1089,7 +1089,7 @@ fn run_schedule(seed: u64, fast: bool) -> Outcome {
 }
 
 // ---------------------------------------------------------------------------
-// Driver: schedule generation, MTTR aggregation, BENCH_9.json emission.
+// Driver: schedule generation and the run loop.
 // ---------------------------------------------------------------------------
 
 /// Round-robin class coverage with seed-determined everything: for slot
@@ -1112,76 +1112,7 @@ fn schedule_seeds(root: u64, n: usize) -> Vec<u64> {
         .collect()
 }
 
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    assert!(!sorted.is_empty());
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
-}
-
-fn emit_bench(
-    out: &str,
-    root: u64,
-    schedules: usize,
-    fast: bool,
-    violations: usize,
-    mttr: &[(&'static str, u64)],
-) {
-    use serde::value::Value;
-    fn obj(pairs: Vec<(&str, Value)>) -> Value {
-        Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-    }
-
-    let per_class: Vec<Value> = CLASSES
-        .iter()
-        .filter_map(|&class| {
-            let mut ns: Vec<u64> =
-                mttr.iter().filter(|(c, _)| *c == class).map(|&(_, n)| n).collect();
-            if ns.is_empty() {
-                return None;
-            }
-            ns.sort_unstable();
-            Some(obj(vec![
-                ("class", Value::String(class.to_string())),
-                ("runs", Value::U64(ns.len() as u64)),
-                ("mttr_min_ns", Value::U64(ns[0])),
-                ("mttr_p50_ns", Value::U64(percentile(&ns, 0.50))),
-                ("mttr_p99_ns", Value::U64(percentile(&ns, 0.99))),
-                ("mttr_max_ns", Value::U64(ns[ns.len() - 1])),
-            ]))
-        })
-        .collect();
-
-    let doc = obj(vec![
-        ("bench", Value::String("chaos-mttr".into())),
-        ("schema_version", Value::U64(1)),
-        ("pr", Value::U64(9)),
-        (
-            "config",
-            obj(vec![
-                ("schedules", Value::U64(schedules as u64)),
-                ("seed", Value::U64(root)),
-                ("cores", Value::U64(CORES as u64)),
-                ("lease_timeout_ms", Value::U64(LEASE_TIMEOUT.as_millis() as u64)),
-                ("stall_timeout_ms", Value::U64(STALL_TIMEOUT.as_millis() as u64)),
-                ("fast", Value::Bool(fast)),
-            ]),
-        ),
-        (
-            "results",
-            obj(vec![
-                ("schedules_run", Value::U64(mttr.len() as u64)),
-                ("violations", Value::U64(violations as u64)),
-                ("per_class", Value::Array(per_class)),
-            ]),
-        ),
-    ]);
-    let text = serde_json::to_string(&doc).expect("serialize bench document");
-    std::fs::write(out, format!("{text}\n")).expect("write bench document");
-    println!("wrote {out} ({} schedules, {violations} violations)", mttr.len());
-}
-
-const USAGE: &str = "usage: chaos [--schedules N] [--seed HEX] [--replay HEX] [--fast] \
-                     [--emit-bench PATH]";
+const USAGE: &str = "usage: chaos [--schedules N] [--seed HEX] [--replay HEX] [--fast]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -1222,7 +1153,6 @@ fn main() -> ExitCode {
     let mut root = ROOT_SEED;
     let mut replay: Option<u64> = None;
     let mut fast = false;
-    let mut emit: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -1241,10 +1171,6 @@ fn main() -> ExitCode {
                 replay = Some(u64::from_str_radix(s, 16).expect("--replay: hex"));
             }
             "--fast" => fast = true,
-            "--emit-bench" => {
-                i += 1;
-                emit = Some(args[i].clone());
-            }
             other => {
                 eprintln!("unknown flag {other}\n{USAGE}");
                 return ExitCode::from(2);
@@ -1266,7 +1192,6 @@ fn main() -> ExitCode {
         seeds.len(),
         CLASSES.join("/")
     );
-    let mut mttr: Vec<(&'static str, u64)> = Vec::new();
     let mut violations = 0usize;
     for (i, &seed) in seeds.iter().enumerate() {
         let class = class_of(seed);
@@ -1274,7 +1199,6 @@ fn main() -> ExitCode {
         match catch_unwind(AssertUnwindSafe(|| run_schedule(seed, fast))) {
             Ok(out) => {
                 println!("        repaired in {:?} — {}", out.mttr, out.detail);
-                mttr.push((out.class, out.mttr.as_nanos().min(u128::from(u64::MAX)) as u64));
             }
             Err(payload) => {
                 let msg = payload
@@ -1289,9 +1213,6 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some(out) = emit {
-        emit_bench(&out, root, seeds.len(), fast, violations, &mttr);
-    }
     if violations > 0 {
         eprintln!("chaos: {violations} schedule(s) violated invariants");
         return ExitCode::FAILURE;

@@ -28,24 +28,32 @@ struct DiagJson {
     programs: Vec<ProgramJson>,
 }
 
+const USAGE: &str = "usage: diag [i] [j] [policy] [--json] \
+                     (i, j: paper ids 1-8; policy: WS, ABP, EP, DWS, DWS-NC or NC, BWS)";
+
+/// A policy by its figure label in any case; `NC` is short for `DWS-NC`.
+fn parse_policy(name: &str) -> Option<Policy> {
+    let name = if name.eq_ignore_ascii_case("NC") { "DWS-NC" } else { name };
+    Policy::all().into_iter().find(|p| p.label().eq_ignore_ascii_case(name))
+}
+
 fn main() {
     let mut args: Vec<String> = std::env::args().collect();
     let json = args.iter().any(|a| a == "--json");
     args.retain(|a| a != "--json");
     let i: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(3);
     let j: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(6);
-    let policy = match args.get(3).map(|s| s.as_str()).unwrap_or("DWS") {
-        "ABP" => Policy::Abp,
-        "EP" => Policy::Ep,
-        "NC" => Policy::DwsNc,
-        "BWS" => Policy::Bws,
-        "WS" => Policy::Ws,
-        _ => Policy::Dws,
+    let policy = parse_policy(args.get(3).map_or("DWS", String::as_str));
+    let (Some(bench_i), Some(bench_j), Some(policy)) =
+        (Benchmark::from_paper_id(i), Benchmark::from_paper_id(j), policy)
+    else {
+        eprintln!("{USAGE}");
+        std::process::exit(2);
     };
     let cfg = SimConfig::default();
     let e = Effort::quick();
-    let bi = solo_baseline(Benchmark::from_paper_id(i).unwrap(), &cfg, e);
-    let bj = solo_baseline(Benchmark::from_paper_id(j).unwrap(), &cfg, e);
+    let bi = solo_baseline(bench_i, &cfg, e);
+    let bj = solo_baseline(bench_j, &cfg, e);
     let r = run_mix((i, j), policy, None, (bi, bj), &cfg, e);
 
     if json {
@@ -108,4 +116,22 @@ fn main() {
         r.report.elapsed_us as f64 / 1000.0,
         r.report.hit_horizon
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn policies_parse_by_label_in_any_case() {
+        for p in Policy::all() {
+            assert_eq!(parse_policy(p.label()), Some(p));
+            assert_eq!(parse_policy(&p.label().to_lowercase()), Some(p));
+        }
+        assert_eq!(parse_policy("NC"), Some(Policy::DwsNc));
+        assert_eq!(parse_policy("nc"), Some(Policy::DwsNc));
+        for unknown in ["", "DWS_NC", "cilk"] {
+            assert_eq!(parse_policy(unknown), None, "{unknown:?}");
+        }
+    }
 }

@@ -44,16 +44,18 @@ fn main() {
     let i: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(3);
     let j: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(6);
     let horizon_ms: u64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(2000);
+    let (Some(bench_i), Some(bench_j)) = (Benchmark::from_paper_id(i), Benchmark::from_paper_id(j))
+    else {
+        eprintln!("usage: trace [i] [j] [horizon_ms] [--json] (i, j: paper ids 1-8)");
+        std::process::exit(2);
+    };
     let cfg = SimConfig::default();
     let sched = SchedConfig::for_policy(Policy::Dws, 16);
     let mut sim = Simulator::new(
         cfg,
         vec![
-            ProgramSpec {
-                workload: Benchmark::from_paper_id(i).unwrap().profile(),
-                sched: sched.clone(),
-            },
-            ProgramSpec { workload: Benchmark::from_paper_id(j).unwrap().profile(), sched },
+            ProgramSpec { workload: bench_i.profile(), sched: sched.clone() },
+            ProgramSpec { workload: bench_j.profile(), sched },
         ],
     );
     sim.enable_tracing(2_000_000);

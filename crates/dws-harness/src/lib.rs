@@ -10,7 +10,8 @@
 //! * **Fig. 6** — the T_SLEEP sweep on mix (1,8) (`--bin fig6`);
 //! * **§4.4** — the single-program no-degradation claim
 //!   (`--bin single_program`);
-//! * `--bin all` runs everything and emits both text and JSON.
+//! * `--bin all` runs everything and prints the text report (`--json`
+//!   and `--svg` are per-figure flags; `all` refuses them).
 //!
 //! Measurements follow the paper's methodology (Fig. 3 / Eq. 2): co-run
 //! benchmarks restart continuously so executions fully overlap, and each

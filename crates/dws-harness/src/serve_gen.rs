@@ -130,7 +130,8 @@ pub fn demand_handler() -> impl Fn(Request) + Send + Sync + 'static {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dws_rt::{Policy, RuntimeConfig};
+    use dws_rt::{CoreTable, InProcessTable, Policy, RuntimeConfig};
+    use std::sync::Arc;
 
     fn spec(rate: f64, duration_ms: u64, seed: u64) -> LoadSpec {
         LoadSpec {
@@ -173,16 +174,44 @@ mod tests {
         }
     }
 
+    /// Forwards the seven required methods to an [`InProcessTable`] and keeps
+    /// the trait's doorbell defaults: a ring vanishes, a wait sleeps.
+    struct NoDoorbells(InProcessTable);
+
+    impl CoreTable for NoDoorbells {
+        fn cores(&self) -> usize {
+            self.0.cores()
+        }
+        fn max_programs(&self) -> usize {
+            self.0.max_programs()
+        }
+        fn home(&self, core: usize) -> usize {
+            self.0.home(core)
+        }
+        fn current(&self, core: usize) -> Option<usize> {
+            self.0.current(core)
+        }
+        fn release(&self, core: usize, prog: usize) -> bool {
+            self.0.release(core, prog)
+        }
+        fn try_acquire_free(&self, core: usize, prog: usize) -> bool {
+            self.0.try_acquire_free(core, prog)
+        }
+        fn try_reclaim(&self, core: usize, prog: usize) -> bool {
+            self.0.try_reclaim(core, prog)
+        }
+    }
+
     #[test]
     fn shed_requests_surface_in_stats_not_in_admissions() {
         // 4-slot ring, coordinator effectively off: almost everything
-        // past the first four arrivals is shed at the edge. Polling-only,
-        // or the submit doorbell would drain the ring between arrivals
+        // past the first four arrivals is shed at the edge. No doorbells,
+        // or each submission would wake the coordinator to drain the ring
         // and nothing would ever shed.
-        let mut cfg =
-            RuntimeConfig::new(2, Policy::Ws).with_serving_geometry(4, 64).with_polling_only();
+        let mut cfg = RuntimeConfig::new(2, Policy::Ws).with_serving_geometry(4, 64);
         cfg.coordinator_period = Duration::from_secs(3600);
-        let rt = Runtime::serve(cfg, |_req| {});
+        let table = Arc::new(NoDoorbells(InProcessTable::new(2, 1)));
+        let rt = Runtime::serve_with_table(cfg, table, 0, |_req| {});
         let stats = offer_load(&rt, &spec(20_000.0, 50, 3));
         assert_eq!(stats.submitted, 4, "ring capacity bounds acceptance");
         assert!(stats.shed > 0, "overload sheds: {stats:?}");

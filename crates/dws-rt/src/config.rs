@@ -166,13 +166,6 @@ pub struct RuntimeConfig {
     /// Serving mode: submission-ring drain (off by default; see
     /// [`ServeConfig`]).
     pub serve: ServeConfig,
-    /// Edge-triggered control plane (DESIGN §16): releases, surplus
-    /// parks, demand rises and serving submissions ring the program's
-    /// doorbell so the coordinator acts immediately; the periodic tick
-    /// remains as a fallback heartbeat. On by default; disable (polling
-    /// only) to reproduce the pre-doorbell baseline, e.g. for BENCH_10's
-    /// polling arm.
-    pub event_driven: bool,
 }
 
 impl RuntimeConfig {
@@ -190,7 +183,6 @@ impl RuntimeConfig {
             trace: TraceConfig::default(),
             telemetry: TelemetryConfig::default(),
             serve: ServeConfig::default(),
-            event_driven: true,
         }
     }
 
@@ -242,15 +234,6 @@ impl RuntimeConfig {
         assert!(!tick.is_zero(), "telemetry tick must be positive");
         self.telemetry.enabled = true;
         self.telemetry.tick = tick;
-        self
-    }
-
-    /// Disables the edge-triggered doorbell path: every control-plane
-    /// decision waits out the polling tick again, as before DESIGN §16.
-    /// Exists for A/B comparison (BENCH_10's polling arm) and as an
-    /// escape hatch; the doorbell path is the default.
-    pub fn with_polling_only(mut self) -> Self {
-        self.event_driven = false;
         self
     }
 
@@ -382,14 +365,6 @@ mod tests {
         // ...and an explicit override bypasses it (fast-reap tests).
         let c = c.with_lease_timeout(Duration::from_millis(2));
         assert_eq!(c.effective_lease_timeout(), Duration::from_millis(2));
-    }
-
-    #[test]
-    fn event_driven_by_default_with_a_polling_escape_hatch() {
-        let c = RuntimeConfig::new(4, Policy::Dws);
-        assert!(c.event_driven);
-        let c = c.with_polling_only();
-        assert!(!c.event_driven);
     }
 
     #[test]

@@ -134,9 +134,9 @@ pub(crate) fn coordinate_once(reg: &Registry, rng: &VictimRng) -> usize {
             }
             // Demand-satisfaction clock (DESIGN §14): the push edge stamps
             // a rise where it happens; this stamps one that arrived some
-            // other way (injected work, admissions, polling-only). The
-            // stamp survives supply-starved ticks so the measured latency
-            // spans the whole wait for a grant.
+            // other way (injected work, admissions). The stamp survives
+            // supply-starved ticks so the measured latency spans the whole
+            // wait for a grant.
             reg.metrics.note_demand_rise(now_us());
 
             let plan = plan_wakes(n_w, n_f, n_r);
@@ -209,7 +209,6 @@ pub(crate) fn coordinator_loop(reg: Arc<Registry>) {
     let rng = VictimRng::new(0xC0FF_EE00 ^ (reg.prog_id as u64 + 1).wrapping_mul(0x9E37_79B9));
     // Clamped to 1 µs so a zero period cannot spin the wait loop below.
     let period = reg.config.coordinator_period.max(Duration::from_micros(1));
-    let event_driven = reg.config.event_driven;
     let shared_table = reg.effective_policy == Policy::Dws;
     let lease_timeout = reg.config.effective_lease_timeout();
     // Watchdog: a tick (wait + work) is at most one period plus a pass —
@@ -229,23 +228,16 @@ pub(crate) fn coordinator_loop(reg: Arc<Registry>) {
         let mut slept = Duration::ZERO;
         while slept < period {
             let step = chunk.min(period - slept);
-            if event_driven {
-                // Edge-triggered wait: a release/demand/submit ring pops
-                // us out immediately; `step` elapsing is the polling
-                // fallback heartbeat.
-                let rung = reg.table.wait_doorbell(reg.prog_id, step);
-                if reg.shutdown.load(Ordering::Acquire) {
-                    break 'outer;
-                }
-                if rung != 0 {
-                    RtMetrics::bump(&reg.metrics.doorbell_wakes);
-                    break; // run a pass now — that's what the ring asked for
-                }
-            } else {
-                crate::sync::sleep(step);
-                if reg.shutdown.load(Ordering::Acquire) {
-                    break 'outer;
-                }
+            // Edge-triggered wait: a release/demand/submit ring pops us
+            // out immediately; `step` elapsing is the polling fallback
+            // heartbeat. A backend without doorbells sleeps out `step`.
+            let rung = reg.table.wait_doorbell(reg.prog_id, step);
+            if reg.shutdown.load(Ordering::Acquire) {
+                break 'outer;
+            }
+            if rung != 0 {
+                RtMetrics::bump(&reg.metrics.doorbell_wakes);
+                break; // run a pass now — that's what the ring asked for
             }
             slept += step;
         }

@@ -174,22 +174,11 @@ impl Registry {
         self.workers[i].sleeper.wake();
     }
 
-    /// Rings `prog`'s doorbell (edge-triggered control plane, DESIGN
-    /// §16) — a no-op when the runtime was configured polling-only or the
-    /// table backend has no doorbells.
-    pub(crate) fn ring_doorbell(&self, prog: usize, reason: u32) {
-        if self.config.event_driven {
-            self.table.ring_doorbell(prog, reason);
-        }
-    }
-
     /// Rings our own coordinator for a demand rise, counted in
     /// `demand_rings` so a ring storm shows in recorded data.
     fn ring_demand(&self) {
-        if self.config.event_driven {
-            RtMetrics::bump(&self.metrics.demand_rings);
-            self.table.ring_doorbell(self.prog_id, DOORBELL_DEMAND);
-        }
+        RtMetrics::bump(&self.metrics.demand_rings);
+        self.table.ring_doorbell(self.prog_id, DOORBELL_DEMAND);
     }
 
     /// Makes `core` ours if the protocol allows it: it already is, it is
@@ -260,7 +249,7 @@ impl Registry {
     }
 
     /// The demand-rise edge, called by [`WorkerThread::push`] when a
-    /// sibling is parked (`asleep > 0`) and the runtime is event-driven.
+    /// sibling is parked (`asleep > 0`).
     /// Rings `DOORBELL_DEMAND` iff the edge is armed, the pusher's own
     /// deque already satisfies Eq. 1 for the awake workers (`queued` is a
     /// lower bound of `N_b`), and some core is free or is our home core
@@ -715,7 +704,7 @@ impl Runtime {
             // drains the ring on this doorbell instead of on its next
             // polling tick, so admission latency stops scaling with the
             // coordinator period.
-            self.registry.ring_doorbell(self.registry.prog_id, DOORBELL_SUBMIT);
+            self.registry.table.ring_doorbell(self.registry.prog_id, DOORBELL_SUBMIT);
         }
         res
     }
@@ -739,7 +728,7 @@ impl Drop for Runtime {
         // Pop the coordinator out of its doorbell wait immediately — the
         // slow-path heartbeat would notice the flag anyway, but shutdown
         // should not cost a period.
-        self.registry.ring_doorbell(self.registry.prog_id, DOORBELL_SHUTDOWN);
+        self.registry.table.ring_doorbell(self.registry.prog_id, DOORBELL_SHUTDOWN);
         for i in 0..self.registry.workers.len() {
             self.registry.wake_worker(i);
         }
@@ -961,7 +950,7 @@ impl WorkerThread {
                 // home core becoming free is not news to us — skip.
                 let owner = reg.table.home(core);
                 if owner != reg.prog_id {
-                    reg.ring_doorbell(owner, DOORBELL_RELEASE);
+                    reg.table.ring_doorbell(owner, DOORBELL_RELEASE);
                 }
             }
             RtMetrics::bump(&reg.metrics.sleeps);
@@ -1210,7 +1199,7 @@ impl WorkerThread {
         // whole cost: one relaxed load.
         let reg = &*self.registry;
         let asleep = reg.sleepers.load(Ordering::Relaxed);
-        if asleep != 0 && reg.config.event_driven {
+        if asleep != 0 {
             reg.demand_rose(self.deque.len(), asleep);
         }
     }

@@ -6,7 +6,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dws_rt::{CoreTable, Policy, Runtime, RuntimeConfig, ShmTable, SubmitError, TaskId};
+use dws_rt::{
+    CoreTable, InProcessTable, Policy, Runtime, RuntimeConfig, ShmTable, SubmitError, TaskId,
+};
 
 fn wait_until(deadline: Duration, mut done: impl FnMut() -> bool) -> bool {
     let t0 = Instant::now();
@@ -85,15 +87,43 @@ fn non_serving_runtime_has_no_ring() {
     assert!(rt.submission_ring().is_none());
 }
 
+/// Forwards the seven required methods to an [`InProcessTable`] and keeps
+/// the trait's doorbell defaults: a ring vanishes, a wait sleeps.
+struct NoDoorbells(InProcessTable);
+
+impl CoreTable for NoDoorbells {
+    fn cores(&self) -> usize {
+        self.0.cores()
+    }
+    fn max_programs(&self) -> usize {
+        self.0.max_programs()
+    }
+    fn home(&self, core: usize) -> usize {
+        self.0.home(core)
+    }
+    fn current(&self, core: usize) -> Option<usize> {
+        self.0.current(core)
+    }
+    fn release(&self, core: usize, prog: usize) -> bool {
+        self.0.release(core, prog)
+    }
+    fn try_acquire_free(&self, core: usize, prog: usize) -> bool {
+        self.0.try_acquire_free(core, prog)
+    }
+    fn try_reclaim(&self, core: usize, prog: usize) -> bool {
+        self.0.try_reclaim(core, prog)
+    }
+}
+
 #[test]
 fn full_ring_sheds_and_counts_drops() {
     // Tiny ring, manual pumping only: fill it, watch the overflow drop.
-    // Polling-only, or the submit doorbell wakes the coordinator to drain
+    // No doorbells, or each submission would wake the coordinator to drain
     // behind the test's back.
-    let mut cfg =
-        RuntimeConfig::new(2, Policy::Ws).with_serving_geometry(4, 64).with_polling_only();
+    let mut cfg = RuntimeConfig::new(2, Policy::Ws).with_serving_geometry(4, 64);
     cfg.coordinator_period = Duration::from_secs(3600); // never drains on its own
-    let rt = Runtime::serve(cfg, |_req| {});
+    let table = Arc::new(NoDoorbells(InProcessTable::new(2, 1)));
+    let rt = Runtime::serve_with_table(cfg, table, 0, |_req| {});
     for i in 0..4 {
         rt.submit(i, 1).unwrap();
     }

@@ -1558,6 +1558,38 @@ mod tests {
     }
 
     #[test]
+    fn core_time_is_conserved_across_eight_co_running_programs() {
+        // Greedy recursive programs beside bursty wave programs, so cores
+        // keep changing hands among all eight.
+        let cfg = SimConfig {
+            machine: MachineConfig { cores: 16, sockets: 2, ..Default::default() },
+            ..Default::default()
+        };
+        let specs: Vec<ProgramSpec> = (0..8)
+            .map(|p| {
+                let workload = if p % 2 == 0 {
+                    rec_workload(&format!("greedy-{p}"), 9, 40.0, 0.2)
+                } else {
+                    wave_workload(&format!("bursty-{p}"), 8, 48, 120.0, 2_000.0)
+                };
+                spec(workload, Policy::Dws, 16)
+            })
+            .collect();
+        let mut sim = Simulator::new(cfg, specs);
+        while sim.now() < 60_000 {
+            sim.tick();
+        }
+        let granted = (0..8).filter(|&p| !sim.ledger().alloc_latency_ns(p).is_empty()).count();
+        assert!(granted >= 2, "cores moved to {granted} programs");
+        let (prog_us, free_us) = sim.settled_core_us();
+        assert_eq!(prog_us.len(), 8);
+        assert_eq!(prog_us.iter().sum::<u64>() + free_us, 16 * sim.now());
+        let shares: Vec<f64> = prog_us.iter().map(|&us| us as f64).collect();
+        let jain = dws_rt::jain_fairness(&shares);
+        assert!(jain > 0.0 && jain <= 1.0, "Jain index {jain}");
+    }
+
+    #[test]
     fn tracing_disabled_by_default() {
         let cfg = small_machine();
         let a = spec(rec_workload("a", 4, 100.0, 0.4), Policy::Dws, 4);
