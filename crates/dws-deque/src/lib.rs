@@ -49,4 +49,4 @@ pub use chase_lev::{batch_quota, deque, Steal, Stealer, Worker, MAX_STEAL_BATCH}
 pub use injector::Injector;
 pub use mutex_deque::MutexDeque;
 pub use submit_ring::{Request, SubmitError, SubmitRing, ABANDON_AFTER, EPOCH_FENCED};
-pub use task_id::TaskId;
+pub use task_id::{IdPrefix, TaskId};

@@ -14,12 +14,16 @@
 //! | prog: 8 bits | worker: 16 bits | seq: 40 bits |
 //! ```
 //!
-//! 2⁴⁰ spawns per worker is ~3 years of continuous spawning at 10 M
-//! tasks/s — comfortably monotone for any real run. Worker index
-//! [`TaskId::EXTERNAL_WORKER`] (`0xFFFF`) is reserved for tasks injected
-//! from outside the pool (root submissions through the injector), and
-//! the all-ones bit pattern is reserved as [`TaskId::NONE`], the
-//! "not yet stamped" sentinel.
+//! A spawner packs its `(prog, worker)` half once into an [`IdPrefix`]
+//! and mints every id from it with one AND and one OR. The sequence
+//! wraps modulo 2⁴⁰ (about 30 hours at 10 M spawns/s per worker) instead
+//! of overflowing its field, so an id is unique among the last 2⁴⁰
+//! spawns of its spawner, far longer than any trace ring holds.
+//!
+//! Worker index [`TaskId::EXTERNAL_WORKER`] (`0xFFFF`) is reserved for
+//! tasks injected from outside the pool (root submissions through the
+//! injector), and the all-ones bit pattern is reserved as
+//! [`TaskId::NONE`], the "not yet stamped" sentinel.
 
 /// A packed `(program, worker, sequence)` task identity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -40,17 +44,17 @@ impl TaskId {
 
     /// Packs an identity. Panics if a component exceeds its field width
     /// or the result would collide with [`TaskId::NONE`].
+    #[inline]
     pub fn new(prog: usize, worker: usize, seq: u64) -> TaskId {
-        assert!(prog < 256, "program id {prog} exceeds 8 bits");
-        assert!(worker <= Self::EXTERNAL_WORKER, "worker id {worker} exceeds 16 bits");
+        let prefix = IdPrefix::new(prog, worker);
         assert!(seq <= SEQ_MASK, "sequence {seq} exceeds 40 bits");
-        let packed =
-            ((prog as u64) << (WORKER_BITS + SEQ_BITS)) | ((worker as u64) << SEQ_BITS) | seq;
+        let packed = prefix.bits | seq;
         assert_ne!(packed, u64::MAX, "identity collides with TaskId::NONE");
         TaskId(packed)
     }
 
     /// The raw packed value (what goes into trace events and JSON).
+    #[inline]
     pub fn as_u64(self) -> u64 {
         self.0
     }
@@ -62,6 +66,7 @@ impl TaskId {
     }
 
     /// Is this the "not yet stamped" sentinel?
+    #[inline]
     pub fn is_none(self) -> bool {
         self.0 == u64::MAX
     }
@@ -82,9 +87,40 @@ impl TaskId {
         self.worker() == Self::EXTERNAL_WORKER
     }
 
-    /// Per-worker spawn sequence number (40 bits, monotone per spawner).
+    /// Per-worker spawn sequence number (40 bits; counts up per spawner
+    /// and wraps to 0 after 2⁴⁰ − 1).
     pub fn seq(self) -> u64 {
         self.0 & SEQ_MASK
+    }
+}
+
+/// One spawner's `(program, worker)` half of a [`TaskId`], packed once
+/// so that minting on the per-push path is one AND and one OR, with no
+/// check left to fail.
+#[derive(Debug, Clone, Copy)]
+pub struct IdPrefix {
+    bits: u64,
+    seq_mask: u64,
+}
+
+impl IdPrefix {
+    /// Packs the spawner half. Panics if a component exceeds its field
+    /// width.
+    pub fn new(prog: usize, worker: usize) -> IdPrefix {
+        assert!(prog < 256, "program id {prog} exceeds 8 bits");
+        assert!(worker <= TaskId::EXTERNAL_WORKER, "worker id {worker} exceeds 16 bits");
+        let bits = ((prog as u64) << (WORKER_BITS + SEQ_BITS)) | ((worker as u64) << SEQ_BITS);
+        // The all-ones spawner (prog 255's external lane) wraps one bit
+        // early, so its sequence never reaches the `NONE` pattern.
+        let seq_mask = if bits | SEQ_MASK == u64::MAX { SEQ_MASK >> 1 } else { SEQ_MASK };
+        IdPrefix { bits, seq_mask }
+    }
+
+    /// The id for spawn number `seq`, wrapped into the sequence field.
+    /// Never [`TaskId::NONE`].
+    #[inline]
+    pub fn mint(self, seq: u64) -> TaskId {
+        TaskId(self.bits | (seq & self.seq_mask))
     }
 }
 
@@ -147,6 +183,29 @@ mod tests {
     #[should_panic(expected = "exceeds 8 bits")]
     fn oversized_prog_rejected() {
         let _ = TaskId::new(256, 0, 0);
+    }
+
+    #[test]
+    fn minting_wraps_the_sequence_without_leaving_the_spawner() {
+        // Even fields, so a carry out of the sequence would show.
+        let p = IdPrefix::new(6, 2);
+        assert_eq!(p.mint(42), TaskId::new(6, 2, 42));
+        let fields = |id: TaskId| (id.prog(), id.worker(), id.seq());
+        assert_eq!(fields(p.mint(SEQ_MASK)), (6, 2, SEQ_MASK));
+        assert_eq!(fields(p.mint(SEQ_MASK + 1)), (6, 2, 0));
+        assert_eq!(fields(p.mint(u64::MAX)), (6, 2, SEQ_MASK));
+    }
+
+    #[test]
+    fn the_all_ones_spawner_never_mints_none() {
+        let p = IdPrefix::new(255, TaskId::EXTERNAL_WORKER);
+        for seq in [0, SEQ_MASK >> 1, SEQ_MASK - 1, SEQ_MASK, SEQ_MASK + 1, u64::MAX] {
+            let id = p.mint(seq);
+            assert!(!id.is_none(), "seq {seq} minted NONE");
+            assert_eq!((id.prog(), id.worker()), (255, TaskId::EXTERNAL_WORKER));
+        }
+        assert_eq!(p.mint(SEQ_MASK).seq(), SEQ_MASK >> 1);
+        assert_eq!(p.mint((SEQ_MASK >> 1) + 1).seq(), 0);
     }
 
     #[test]

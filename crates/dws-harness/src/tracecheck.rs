@@ -588,6 +588,41 @@ mod tests {
         assert!(parse_jsonl("not json").is_err());
     }
 
+    fn leaves(depth: u32) -> u64 {
+        if depth == 0 {
+            return 1;
+        }
+        let (a, b) = dws_rt::join(|| leaves(depth - 1), || leaves(depth - 1));
+        a + b
+    }
+
+    #[test]
+    fn a_real_traced_join_tree_and_scope_are_w1_w2_clean() {
+        // Most join arms skip `execute` (popped back and run inline), so
+        // this pins the `ExecBegin` that `trace_inline_begin` records for
+        // them: without it nearly every join task would read as lost.
+        use dws_rt::{Policy, Runtime, RuntimeConfig};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let pool = Runtime::new(RuntimeConfig::new(2, Policy::Ws).with_tracing());
+        assert_eq!(pool.block_on(|| leaves(12)), 1 << 12);
+        let ran = AtomicUsize::new(0);
+        pool.scope(|s| {
+            for _ in 0..64 {
+                s.spawn(|| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                });
+            }
+        });
+        assert_eq!(ran.load(Ordering::Relaxed), 64);
+
+        let r = analyze(0, &pool.trace_snapshot());
+        assert!(r.sound(), "trace ring dropped {} events", r.events_dropped);
+        assert_eq!(r.w1_unexecuted, 0, "spawned but never executed");
+        assert_eq!(r.w2_duplicates, 0, "executed more than once");
+        assert_eq!(r.spawned, r.executed);
+        assert!(r.spawned > (1 << 12), "only {} tasks traced", r.spawned);
+    }
+
     #[test]
     fn quantiles_are_exact_nearest_rank() {
         let sorted: Vec<u64> = (1..=1000).collect();

@@ -12,7 +12,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dws_deque::{
-    deque, Injector, Request, Steal, Stealer, SubmitError, SubmitRing, TaskId, Worker as Deque,
+    deque, IdPrefix, Injector, Request, Steal, Stealer, SubmitError, SubmitRing, TaskId,
+    Worker as Deque,
 };
 
 use crate::affinity;
@@ -71,8 +72,10 @@ pub(crate) struct Registry {
     /// Detached jobs submitted via [`Runtime::spawn`] not yet finished;
     /// shutdown waits for them.
     detached: AtomicUsize,
-    /// Sequence counter for tasks injected from outside the pool
-    /// (stamped with [`TaskId::EXTERNAL_WORKER`] as their spawner).
+    /// Identity prefix and sequence counter for tasks injected from
+    /// outside the pool (stamped with [`TaskId::EXTERNAL_WORKER`] as
+    /// their spawner).
+    external_ids: IdPrefix,
     external_seq: AtomicU64,
     /// Serving mode: submission ring + request handler (None unless built
     /// via [`Runtime::serve`] / [`Runtime::serve_with_table`]).
@@ -313,20 +316,19 @@ impl Registry {
         );
     }
 
-    /// Mints the next external-lane task sequence number.
-    pub(crate) fn next_external_seq(&self) -> u64 {
-        self.external_seq.fetch_add(1, Ordering::Relaxed)
+    /// Mints the next external-lane task identity.
+    pub(crate) fn next_external_id(&self) -> TaskId {
+        self.external_ids.mint(self.external_seq.fetch_add(1, Ordering::Relaxed))
     }
 
     /// Stamps a task identity onto a job entering through the injector
     /// (no worker context): spawner is [`TaskId::EXTERNAL_WORKER`], the
-    /// sequence comes from [`Registry::next_external_seq`]. With tracing
+    /// id comes from [`Registry::next_external_id`]. With tracing
     /// on, the spawn timestamp is taken and `Spawn`/`Enqueue` land on the
     /// shared lane — external submissions have no per-worker ring of their
     /// own.
     pub(crate) fn stamp_external(&self, mut job: JobRef) -> JobRef {
-        let seq = self.next_external_seq();
-        job.task_id = TaskId::new(self.prog_id, TaskId::EXTERNAL_WORKER, seq);
+        job.task_id = self.next_external_id();
         if self.trace.enabled() {
             job.spawn_us = now_us();
             let id = job.task_id.as_u64();
@@ -460,6 +462,7 @@ impl Runtime {
             shutdown: AtomicBool::new(false),
             exited: AtomicUsize::new(0),
             detached: AtomicUsize::new(0),
+            external_ids: IdPrefix::new(prog_id, TaskId::EXTERNAL_WORKER),
             external_seq: AtomicU64::new(0),
             serving,
             sleepers: AtomicUsize::new(0),
@@ -761,6 +764,8 @@ pub(crate) struct WorkerThread {
     /// Wake instant awaiting its first executed task (wake→first-task
     /// histogram); set on resume from sleep while tracing.
     wake_at: Cell<Option<Instant>>,
+    /// This worker's `(prog, worker)` half of every id it mints.
+    ids: IdPrefix,
     /// Next task sequence number this worker mints (worker-local, so id
     /// stamping is a plain increment — no shared counter on the push
     /// path).
@@ -783,6 +788,7 @@ pub(crate) enum StealOutcome {
 
 impl WorkerThread {
     /// The worker driving the current thread, if any.
+    #[inline]
     pub(crate) fn current() -> Option<&'static WorkerThread> {
         let ptr = CURRENT_WORKER.with(|c| c.get());
         if ptr.is_null() {
@@ -799,6 +805,7 @@ impl WorkerThread {
         let me = WorkerThread {
             rng: VictimRng::new(0x5851_F42D_4C95_7F2D ^ ((index as u64 + 1) * 0x9E37)),
             trace_on: registry.trace.enabled(),
+            ids: IdPrefix::new(registry.prog_id, index),
             registry,
             index,
             deque,
@@ -1181,11 +1188,12 @@ impl WorkerThread {
     /// element through any pops, steals and batch transfers. With tracing
     /// on, the spawn timestamp is taken and `Spawn`/`Enqueue` land on
     /// this worker's lane; off, stamping is one `Cell` increment.
+    #[inline]
     pub(crate) fn push(&self, mut job: JobRef) {
         if job.task_id.is_none() {
             let seq = self.task_seq.get();
-            self.task_seq.set(seq + 1);
-            job.task_id = TaskId::new(self.registry.prog_id, self.index, seq);
+            self.task_seq.set(seq.wrapping_add(1));
+            job.task_id = self.ids.mint(seq);
             if self.trace_on {
                 job.spawn_us = now_us();
                 let id = job.task_id.as_u64();
@@ -1205,6 +1213,7 @@ impl WorkerThread {
     }
 
     /// Pops the most recently pushed job, if still present.
+    #[inline]
     pub(crate) fn pop(&self) -> Option<JobRef> {
         self.deque.pop()
     }
@@ -1260,6 +1269,7 @@ impl WorkerThread {
     /// spawned task executes") reads these events. Records the sojourn
     /// sample too, so the live histogram and the trace agree on what a
     /// task is. No-op with tracing off.
+    #[inline]
     pub(crate) fn trace_inline_begin(&self, job: &JobRef) {
         if !self.trace_on {
             return;
@@ -1276,6 +1286,7 @@ impl WorkerThread {
     }
 
     /// Closes the pair opened by [`WorkerThread::trace_inline_begin`].
+    #[inline]
     pub(crate) fn trace_inline_end(&self, job: &JobRef) {
         if !self.trace_on {
             return;
@@ -1351,6 +1362,7 @@ mod tests {
             shutdown: AtomicBool::new(false),
             exited: AtomicUsize::new(0),
             detached: AtomicUsize::new(0),
+            external_ids: IdPrefix::new(0, TaskId::EXTERNAL_WORKER),
             external_seq: AtomicU64::new(0),
             serving: None,
             sleepers: AtomicUsize::new(0),

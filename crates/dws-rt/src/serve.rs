@@ -5,9 +5,10 @@
 //! heap-backed for in-process runs — and its coordinator drains the ring
 //! into the [`dws_deque::Injector`] once per period. Each drained
 //! [`Request`] becomes an ordinary external task (spawner
-//! [`TaskId::EXTERNAL_WORKER`]) running the program's request handler, so
-//! the whole demand-aware machinery (Eq. 1 wakes, batched steals,
-//! lifecycle tracing) applies to open-loop traffic unchanged.
+//! [`TaskId::EXTERNAL_WORKER`](dws_deque::TaskId::EXTERNAL_WORKER))
+//! running the program's request handler, so the whole demand-aware
+//! machinery (Eq. 1 wakes, batched steals, lifecycle tracing) applies to
+//! open-loop traffic unchanged.
 //!
 //! Timeline of one request:
 //!
@@ -29,7 +30,7 @@
 
 use std::sync::Arc;
 
-use dws_deque::{Request, SubmitRing, TaskId};
+use dws_deque::{Request, SubmitRing};
 
 use crate::alloc_table::CoreTable;
 use crate::job::HeapJob;
@@ -87,8 +88,8 @@ impl Registry {
 
     /// One drain pass: moves up to `serve.drain_batch` requests from the
     /// submission ring into the injector, stamping each with an external
-    /// [`TaskId`] and carrying the client's submit timestamp through to
-    /// the executing worker. Returns the number admitted. Run by the
+    /// [`TaskId`](dws_deque::TaskId) and carrying the client's submit
+    /// timestamp through to the executing worker. Returns the number admitted. Run by the
     /// coordinator once per period; also callable directly (tests,
     /// manual pumping).
     pub(crate) fn drain_submissions(&self) -> usize {
@@ -105,8 +106,7 @@ impl Registry {
         ring.drain(self.config.serve.drain_batch, &mut |req| {
             let handler = Arc::clone(&serving.handler);
             let mut job = HeapJob::new(move || handler(req));
-            job.task_id =
-                TaskId::new(self.prog_id, TaskId::EXTERNAL_WORKER, self.next_external_seq());
+            job.task_id = self.next_external_id();
             // The submit timestamp always flows through (a copy, no
             // syscall); the spawn timestamp and lifecycle events follow
             // the usual tracing gate.

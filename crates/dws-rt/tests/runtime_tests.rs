@@ -2,7 +2,7 @@
 //! panic propagation, policy behaviours (sleeping, yielding, coordinator
 //! wakes) and co-running through the shared allocation table.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -124,6 +124,37 @@ fn panic_in_stolen_arm_propagates() {
         assert!(result.is_err());
     }
     assert_eq!(pool.block_on(|| 7), 7);
+}
+
+#[test]
+fn panic_in_join_arm_waits_for_its_running_stolen_arm() {
+    // `a` panics only once a thief is inside `b`: `join` must not unwind
+    // the frame that holds `b` until the thief has finished it.
+    let pool = rt(2, Policy::Ws);
+    for _ in 0..20 {
+        let started = AtomicBool::new(false);
+        let finished = AtomicBool::new(false);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.block_on(|| {
+                let ((), ()) = join(
+                    || {
+                        while !started.load(Ordering::Acquire) {
+                            std::thread::yield_now();
+                        }
+                        panic!("left");
+                    },
+                    || {
+                        started.store(true, Ordering::Release);
+                        std::thread::sleep(Duration::from_millis(2));
+                        finished.store(true, Ordering::Release);
+                    },
+                );
+            })
+        }));
+        assert!(result.is_err());
+        assert!(finished.load(Ordering::Acquire), "join unwound before its stolen arm finished");
+    }
+    assert_eq!(pool.block_on(|| 3), 3);
 }
 
 #[test]
