@@ -89,9 +89,20 @@ fn solo_process_runs_every_benchmark() {
 
 #[test]
 fn bad_arguments_fail_cleanly() {
-    let out = Command::new(bench_bin())
-        .args(["--bench", "nonexistent", "--reps", "1"])
-        .output()
-        .expect("run benchmark");
-    assert!(!out.status.success());
+    let cases: [&[&str]; 8] = [
+        &["--bench", "nonexistent", "--reps", "1"],
+        &["--policy", "nope"],
+        &["--size", "huge"],
+        &["--frobnicate"],
+        &["--reps"],
+        &["--reps", "many"],
+        &["--reps", "0"],
+        &["--workers", "0"],
+    ];
+    for args in cases {
+        let out = Command::new(bench_bin()).args(args).output().expect("run benchmark");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("usage: benchmark"), "{args:?}: {stderr}");
+    }
 }

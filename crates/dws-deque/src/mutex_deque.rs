@@ -1,10 +1,8 @@
 //! Mutex-based reference deque.
 //!
 //! A trivially correct implementation of the same owner-bottom /
-//! thief-top contract as [`crate::chase_lev`]. It exists as (a) a test
-//! oracle for differential and property tests against the lock-free deque
-//! and (b) the baseline side of the `deque` Criterion bench, quantifying
-//! what the lock-free implementation buys.
+//! thief-top contract as [`crate::chase_lev`]. It exists as a test
+//! oracle for differential and property tests against the lock-free deque.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
