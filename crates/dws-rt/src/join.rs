@@ -4,6 +4,10 @@
 //! can take it), runs `a` inline, then either pops `b` back and runs it
 //! inline (the common, steal-free path) or — if `b` was stolen — helps
 //! execute other work until the thief finishes it.
+//!
+//! Exposure is lazy: while the worker's deque already holds at least one
+//! task per worker of the runtime, no thief can use one more, so `join`
+//! runs `a` then `b` inline with no push, pop or latch (DESIGN §12).
 
 use crate::job::{JobRef, StackJob};
 use crate::latch::SpinLatch;
@@ -15,8 +19,15 @@ use crate::registry::WorkerThread;
 /// another `join`, or a [`crate::scope::scope`]). Called from outside any
 /// pool it degrades to sequential execution — correct, just not parallel.
 ///
+/// Inside a pool the arms may also run sequentially on the calling
+/// worker: when its deque already holds at least as many tasks as the
+/// runtime has workers, `b` is not offered to thieves and runs after `a`
+/// returns. So `a` must never wait for `b` to make progress.
+///
 /// Panics in either closure propagate to the caller; if both panic, `a`'s
-/// payload wins (matching rayon's contract).
+/// payload wins (matching rayon's contract). If `a` panics, `b` may never
+/// run.
+#[inline]
 pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -25,8 +36,9 @@ where
     RB: Send,
 {
     match WorkerThread::current() {
-        Some(worker) => join_on_worker(worker, a, b),
-        None => {
+        Some(worker) if !worker.deque_saturated() => join_on_worker(worker, a, b),
+        // Off the pool, or every thief already has a task to take here.
+        _ => {
             let ra = a();
             let rb = b();
             (ra, rb)
@@ -34,6 +46,10 @@ where
     }
 }
 
+/// The exposing path. Out of line so the inlined `join` above stays one
+/// length check and two calls: with this body inlined too, every inline
+/// join paid its frame (six register saves and a 200-byte stack frame).
+#[inline(never)]
 fn join_on_worker<A, B, RA, RB>(worker: &WorkerThread, a: A, b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,

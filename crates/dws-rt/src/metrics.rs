@@ -691,11 +691,19 @@ mod tests {
                 }
             })
         };
-        let mut observed = 0u32;
-        for _ in 0..20_000 {
+        // At least 20 000 snapshots, then on (yielding) until one has seen
+        // the writer: on one CPU the reader can use up its quota before
+        // the writer's thread is first scheduled.
+        let (mut observed, mut taken) = (0u32, 0u32);
+        let t0 = std::time::Instant::now();
+        while taken < 20_000 || (observed == 0 && t0.elapsed().as_secs() < 10) {
             let s = w.snapshot();
             assert_eq!(s.steals_ok, s.steal_latency.count(), "snapshot tore a write-section batch");
             observed += u32::from(s.steals_ok > 0);
+            taken += 1;
+            if taken >= 20_000 {
+                std::thread::yield_now();
+            }
         }
         stop.store(true, Ordering::Release);
         writer.join().unwrap();

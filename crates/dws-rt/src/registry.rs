@@ -1212,6 +1212,16 @@ impl WorkerThread {
         }
     }
 
+    /// True while this worker's own deque holds at least k tasks, k being
+    /// the runtime's worker count: every other worker already has one to
+    /// steal, so `join` runs both arms inline instead of pushing. Owner-side:
+    /// `bottom` is exact and a stale `top` only overstates the length, so
+    /// exposure is at worst delayed by one join, never lost.
+    #[inline]
+    pub(crate) fn deque_saturated(&self) -> bool {
+        self.deque.len() >= self.registry.config.workers
+    }
+
     /// Pops the most recently pushed job, if still present.
     #[inline]
     pub(crate) fn pop(&self) -> Option<JobRef> {
